@@ -30,7 +30,6 @@ fn main() {
             shared_params: TddftSimulator::shared_params(),
             bo: paper_bo(6),
             evals_per_dim,
-            parallel: true,
             ..Default::default()
         })
     };

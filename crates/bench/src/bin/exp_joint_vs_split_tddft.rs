@@ -9,6 +9,7 @@
 
 use cets_bench::{banner, mean_std, paper_bo, ExpArgs};
 use cets_core::{execute_plan, Objective, PlannedSearch, SearchPlan, SearchTarget};
+use cets_linalg::par;
 use cets_tddft::{CaseStudy, TddftSimulator};
 
 fn group_params(prefixes: &[&str]) -> Vec<String> {
@@ -56,7 +57,7 @@ fn main() {
                     budget: joint_budget,
                 }]],
             };
-            let je = execute_plan(&sim, &joint_plan, &paper_bo(seed), false).expect("joint");
+            let je = execute_plan(&sim, &joint_plan, &paper_bo(seed), 1, None).expect("joint");
 
             // Independent: G2 with N=30, G3 with N=100, in parallel.
             let split_plan = SearchPlan {
@@ -77,7 +78,14 @@ fn main() {
                     },
                 ]],
             };
-            let se = execute_plan(&sim, &split_plan, &paper_bo(seed), true).expect("split");
+            let se = execute_plan(
+                &sim,
+                &split_plan,
+                &paper_bo(seed),
+                par::global_threads(),
+                None,
+            )
+            .expect("split");
 
             // Compare on the joint G2+G3 runtime of the final configs
             // (noise-free evaluation for a clean comparison).

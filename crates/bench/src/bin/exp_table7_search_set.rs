@@ -30,7 +30,6 @@ fn main() {
             shared_params: TddftSimulator::shared_params(),
             bo: BoConfig::default(),
             evals_per_dim: 10,
-            parallel: true,
             ..Default::default()
         });
         let report = m

@@ -424,7 +424,6 @@ fn bench_methodology(
             ..Default::default()
         },
         evals_per_dim,
-        parallel: threads > 1,
         par: ParConfig::fixed(threads),
         ..Default::default()
     });

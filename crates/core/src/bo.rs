@@ -8,10 +8,19 @@
 //! (c) evaluate the suggested configuration. The incumbent trace (best value
 //! after each evaluation) is recorded — it is exactly what the paper's
 //! Figure 6 plots.
+//!
+//! There is one loop body. It keeps a record of every attempt, failures
+//! included, and its trajectory is a pure function of that record, so any
+//! search resumes bit for bit from a checkpoint written at any attempt.
+//! [`BoSearch::run`] and its siblings hand the loop an evaluator that never
+//! fails (a non-finite total becomes a failure record);
+//! [`BoSearch::run_resilient`] and its siblings hand it a typed
+//! [`EvalOutcome`] callback.
 
 use crate::checkpoint::BoCheckpoint;
 use crate::normal;
-use crate::resilience::{splitmix64, EvalError, EvalOutcome, EvalRecord, FailedEval};
+use crate::objective::Observation;
+use crate::resilience::{splitmix64, EvalOutcome, EvalRecord};
 use crate::{CoreError, Result};
 use cets_gp::{GpConfig, Surrogate};
 use cets_space::{Config, SpaceError, Subspace};
@@ -118,15 +127,14 @@ pub struct BoConfig {
     pub seed: u64,
     /// Write a crash-recovery checkpoint after every evaluation.
     pub checkpoint_path: Option<PathBuf>,
-    /// Score the candidate pool across threads. The candidate pool is
-    /// pre-sampled single-threadedly and scored through the chunk-invariant
+    /// Worker threads that score the candidate pool; `1` scores it
+    /// sequentially, and `0` means use the process-wide resolution
+    /// (`--threads`, `CETS_THREADS`, then detected parallelism — see
+    /// [`cets_linalg::par::global_threads`]). The pool is pre-sampled
+    /// single-threadedly and scored through the chunk-invariant
     /// [`Surrogate::predict_batch`], so the proposal (and thus the whole
-    /// search trajectory) is **bit-identical** to the sequential path for
-    /// the same seed — this switch only changes wall-clock time.
-    pub parallel: bool,
-    /// Worker threads for parallel scoring; `0` means use the process-wide
-    /// resolution (`--threads`, `CETS_THREADS`, then detected
-    /// parallelism — see [`cets_linalg::par::global_threads`]).
+    /// search trajectory) is **bit-identical** at any worker count; this
+    /// only changes wall-clock time.
     pub n_workers: usize,
 }
 
@@ -142,7 +150,6 @@ impl Default for BoConfig {
             retrain_every: 5,
             seed: 0,
             checkpoint_path: None,
-            parallel: true,
             n_workers: 0,
         }
     }
@@ -163,11 +170,12 @@ pub struct SearchOutcome {
     pub best_config: Config,
     /// Best objective value found.
     pub best_value: f64,
-    /// All evaluated (active-space unit point, value) pairs, in order.
+    /// All successfully evaluated (active-space unit point, value) pairs,
+    /// in order; failed attempts are absent.
     pub history: Vec<(Vec<f64>, f64)>,
     /// Best-so-far after each evaluation (paper Figure 6's y-axis).
     pub incumbent_trace: Vec<f64>,
-    /// Number of objective evaluations.
+    /// Number of successful objective evaluations (the history's length).
     pub n_evals: usize,
     /// Wall-clock duration of the search.
     pub wall_time: Duration,
@@ -218,15 +226,19 @@ impl BoSearch {
     }
 
     /// Minimize `f` over `subspace`.
+    ///
+    /// `f` cannot fail: a non-finite value is recorded as a failed attempt
+    /// (imputed and charged per [`FailurePolicy::default`]) and left out
+    /// of [`SearchOutcome::history`]. Panics in `f` propagate.
     pub fn run(&self, subspace: &Subspace, f: impl Fn(&Config) -> f64) -> Result<SearchOutcome> {
         self.run_with_history(subspace, f, Vec::new())
     }
 
     /// Minimize starting from pre-evaluated `(unit point, value)` pairs —
-    /// used by checkpoint resume and by transfer-learning seeding. Seeded
-    /// points count against the evaluation budget only if `counted` pairs
-    /// were actually evaluated on *this* task (resume); transfer seeds from
-    /// a *different* task should be passed through
+    /// used by transfer-learning seeding and by the plan executor's
+    /// incumbent. The pairs count against the evaluation budget and take
+    /// the place of the first initial-design points; seeds from a
+    /// *different* task should be passed through
     /// [`crate::transfer::TransferSeed`] instead, which re-evaluates them
     /// here.
     pub fn run_with_history(
@@ -235,7 +247,7 @@ impl BoSearch {
         f: impl Fn(&Config) -> f64,
         history: Vec<(Vec<f64>, f64)>,
     ) -> Result<SearchOutcome> {
-        self.run_inner(subspace, f, history, None)
+        self.run_plain(subspace, f, history_records(history), None)
     }
 
     /// Minimize with a **prior mean function** over the active unit cube —
@@ -252,152 +264,51 @@ impl BoSearch {
         history: Vec<(Vec<f64>, f64)>,
         prior: PriorMean<'_>,
     ) -> Result<SearchOutcome> {
-        self.run_inner(subspace, f, history, Some(prior))
+        self.run_plain(subspace, f, history_records(history), Some(prior))
     }
 
-    fn run_inner(
-        &self,
-        subspace: &Subspace,
-        f: impl Fn(&Config) -> f64,
-        mut history: Vec<(Vec<f64>, f64)>,
-        prior: Option<PriorMean<'_>>,
-    ) -> Result<SearchOutcome> {
-        let cfg = &self.config;
-        if cfg.max_evals == 0 {
-            return Err(CoreError::BadConfig("max_evals must be > 0".into()));
-        }
-        let start = Instant::now();
-        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(history.len() as u64));
-        // Contraction-aware sampling slabs: the statically proved feasible
-        // slab union of each active dimension (a single full `(0, 1)` slab
-        // when nothing narrows, which maps draws bit-identically to the
-        // plain cube; disjoint slabs when branch-and-prune recovered them).
-        let uslabs = crate::contraction::active_unit_slabs(subspace);
-
-        let evaluate = |u: &[f64], history: &mut Vec<(Vec<f64>, f64)>| -> Result<f64> {
-            let cfg_full = subspace.lift(u)?;
-            let y = f(&cfg_full);
-            history.push((u.to_vec(), y));
-            if let Some(path) = &self.config.checkpoint_path {
-                BoCheckpoint::from_history(self.config.seed, history)
-                    .with_tier(self.config.gp.tier.tag())
-                    .save(path)?;
-            }
-            Ok(y)
-        };
-
-        // Initial design (top up to n_init points): Latin hypercube over
-        // the active unit cube, with per-point uniform-rejection fallback
-        // when a stratified point violates constraints.
-        let needed = cfg.n_init.saturating_sub(history.len());
-        if needed > 0 {
-            let d = subspace.dim();
-            let mut perms: Vec<Vec<usize>> = Vec::with_capacity(d);
-            for _ in 0..d {
-                let mut p: Vec<usize> = (0..needed).collect();
-                for k in (1..p.len()).rev() {
-                    p.swap(k, rng.random_range(0..=k));
-                }
-                perms.push(p);
-            }
-            #[allow(clippy::needless_range_loop)] // i indexes permutation columns
-            for i in 0..needed {
-                if history.len() >= cfg.max_evals {
-                    break;
-                }
-                let u: Vec<f64> = (0..d)
-                    .map(|j| {
-                        let r = (perms[j][i] as f64 + rng.random::<f64>()) / needed as f64;
-                        cets_space::map_slabs(&uslabs[j], r)
-                    })
-                    .collect();
-                let u = if subspace.is_valid_active(&u) {
-                    u
-                } else {
-                    self.sample_valid_unit(subspace, &uslabs, &mut rng)?
-                };
-                evaluate(&u, &mut history)?;
-            }
-        }
-
-        // BO loop. Between full hyperparameter retrainings the cached
-        // surrogate absorbs new observations via its incremental update
-        // (O(n²) bordered Cholesky on the exact tier, O(m²) rank-one on the
-        // sparse tier); every `retrain_every` evaluations the
-        // hyperparameters are re-optimized from scratch. The tier itself is
-        // re-selected at each retraining from [`GpConfig::tier`], so a
-        // search that outgrows the exact tier's O(N³) wall escalates to the
-        // sparse tier automatically.
-        let mut cache: Option<Surrogate> = None;
-        while history.len() < cfg.max_evals {
-            let best = history
-                .iter()
-                .map(|(_, y)| *y)
-                .fold(f64::INFINITY, f64::min);
-
-            let can_append = cache
-                .as_ref()
-                .is_some_and(|g| g.n_train() + 1 == history.len());
-            // With a prior mean, the GP models the residual y − prior(u).
-            let target = |u: &[f64], y: f64| -> f64 {
-                match prior {
-                    Some(m0) => y - m0(u),
-                    None => y,
-                }
-            };
-            let retrain = history.len().is_multiple_of(cfg.retrain_every.max(1)) || !can_append;
-            let model: &Surrogate = if retrain {
-                let xs: Vec<Vec<f64>> = history.iter().map(|(u, _)| u.clone()).collect();
-                let ys: Vec<f64> = history.iter().map(|(u, y)| target(u, *y)).collect();
-                let mut gp_cfg = cfg.gp.clone();
-                gp_cfg.seed = cfg.seed.wrapping_add(history.len() as u64);
-                cache.insert(Surrogate::train(&xs, &ys, &gp_cfg)?)
-            } else {
-                // Incremental path: the cache holds all but the newest
-                // observation; append it, falling back to a full refit if
-                // the incremental update loses definiteness. `can_append`
-                // guarantees both the cache and a last observation exist.
-                let (Some(cache), Some((u_last, y_last))) =
-                    (cache.as_mut(), history.last().cloned())
-                else {
-                    return Err(CoreError::SearchStalled(
-                        "incremental GP update without a cached model".into(),
-                    ));
-                };
-                let r_last = target(&u_last, y_last);
-                if cache.append(u_last, r_last).is_err() {
-                    let xs: Vec<Vec<f64>> = history.iter().map(|(u, _)| u.clone()).collect();
-                    let ys: Vec<f64> = history.iter().map(|(u, y)| target(u, *y)).collect();
-                    *cache = cache.refit(&xs, &ys)?;
-                }
-                cache
-            };
-
-            let u_next = self.propose_impl(subspace, &uslabs, model, best, prior, &mut rng)?;
-            evaluate(&u_next, &mut history)?;
-        }
-
-        SearchOutcome::from_history(subspace, history, start.elapsed())
-    }
-
-    /// Resume from a crash-recovery checkpoint.
+    /// Resume from a crash-recovery checkpoint. The resumed search
+    /// continues the interrupted trajectory **bit for bit**, whichever
+    /// attempt the checkpoint was written at.
     pub fn resume(
         &self,
         subspace: &Subspace,
         f: impl Fn(&Config) -> f64,
         checkpoint: &BoCheckpoint,
     ) -> Result<SearchOutcome> {
-        self.check_tier(checkpoint)?;
-        self.run_with_history(subspace, f, checkpoint.history())
+        self.check_resume(checkpoint)?;
+        self.run_plain(subspace, f, checkpoint.records(), None)
     }
 
-    /// Reject a checkpoint recorded under a different surrogate
-    /// tier policy: the resumed search re-derives every per-iteration tier
+    /// The record loop over an evaluator that never fails.
+    fn run_plain(
+        &self,
+        subspace: &Subspace,
+        f: impl Fn(&Config) -> f64,
+        records: Vec<EvalRecord>,
+        prior: Option<PriorMean<'_>>,
+    ) -> Result<SearchOutcome> {
+        let eval = |cfg: &Config, _: usize| EvalOutcome::Ok(Observation::scalar(f(cfg)));
+        let policy = FailurePolicy::default();
+        self.run_loop(subspace, eval, &policy, records, prior, &mut |_| Ok(()))
+            .map(|r| r.outcome)
+    }
+
+    /// Reject a checkpoint that cannot continue this search's trajectory:
+    /// one written under a different seed, or under a different surrogate
+    /// tier policy (the resumed search re-derives every per-iteration tier
     /// decision from [`GpConfig::tier`] and the record count, so a
-    /// mismatched policy would silently diverge from the interrupted
-    /// trajectory instead of continuing it. Checkpoints from before the
-    /// tier layer carry no tag and resume unchecked.
-    fn check_tier(&self, checkpoint: &BoCheckpoint) -> Result<()> {
+    /// mismatched policy would silently diverge instead of continuing).
+    /// Checkpoints from before the tier layer carry no tag and resume
+    /// unchecked.
+    fn check_resume(&self, checkpoint: &BoCheckpoint) -> Result<()> {
+        if checkpoint.seed != self.config.seed {
+            return Err(CoreError::Checkpoint(format!(
+                "checkpoint seed {} does not match search seed {} — resuming would \
+                 diverge from the interrupted trajectory",
+                checkpoint.seed, self.config.seed
+            )));
+        }
         let ours = self.config.gp.tier.tag();
         match &checkpoint.tier {
             Some(tag) if *tag != ours => Err(CoreError::Checkpoint(format!(
@@ -520,12 +431,13 @@ impl BoSearch {
 
     /// Acquisition scores for a candidate pool, in pool order.
     ///
-    /// With [`BoConfig::parallel`] the pool is split into contiguous chunks
-    /// scored by scoped worker threads writing disjoint slices of the
-    /// output; because [`Surrogate::predict_batch`] is chunk-invariant (on
-    /// both tiers) and the acquisition is a pure per-candidate function,
-    /// the resulting scores are bit-identical to the sequential path
-    /// regardless of worker count.
+    /// With more than one worker ([`BoConfig::n_workers`]) the pool is
+    /// split into contiguous chunks scored by scoped worker threads
+    /// writing disjoint slices of the output; because
+    /// [`Surrogate::predict_batch`] is chunk-invariant (on both tiers) and
+    /// the acquisition is a pure per-candidate function, the resulting
+    /// scores are bit-identical to the sequential path regardless of
+    /// worker count.
     fn score_pool(
         &self,
         model: &Surrogate,
@@ -563,20 +475,26 @@ impl BoSearch {
 
     /// Number of scoring workers for a pool of `n_items` candidates.
     fn worker_count(&self, n_items: usize) -> usize {
-        if !self.config.parallel || n_items < 2 {
-            return 1;
-        }
         let requested = if self.config.n_workers == 0 {
             cets_linalg::par::global_threads()
         } else {
             self.config.n_workers
         };
-        requested.clamp(1, n_items)
+        requested.clamp(1, n_items.max(1))
     }
 }
 
+/// Records of pre-evaluated `(unit point, value)` pairs; a non-finite
+/// value is a failed attempt, as it would have been in the loop.
+fn history_records(history: Vec<(Vec<f64>, f64)>) -> Vec<EvalRecord> {
+    history
+        .into_iter()
+        .map(|(u, y)| EvalRecord::from_outcome(u, EvalOutcome::Ok(Observation::scalar(y))))
+        .collect()
+}
+
 // ---------------------------------------------------------------------------
-// Failure-aware BO
+// Failure handling and the BO loop
 // ---------------------------------------------------------------------------
 
 /// How failed evaluations enter GP training.
@@ -598,7 +516,7 @@ pub enum Imputation {
     Exclude,
 }
 
-/// Policy for how a failure-aware search treats failed evaluations.
+/// Policy for how a search treats failed evaluations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailurePolicy {
     /// How failures enter GP training.
@@ -678,9 +596,9 @@ impl FailurePolicy {
 
     /// GP training data for an attempt history. **Every returned value is
     /// finite** — non-finite successes are screened out (defense in depth;
-    /// [`BoSearch::run_resilient`] never records them) and imputed values
-    /// are derived from finite observations with a sanitized margin. This
-    /// is the boundary that guarantees no NaN/Inf ever reaches
+    /// the BO loop never records them) and imputed values are derived
+    /// from finite observations with a sanitized margin. This is the
+    /// boundary that guarantees no NaN/Inf ever reaches
     /// [`cets_gp::Gp::train`].
     pub fn training_data(&self, records: &[EvalRecord]) -> (Vec<Vec<f64>>, Vec<f64>) {
         match self.imputation {
@@ -726,17 +644,17 @@ pub struct ResilientOutcome {
     pub budget_spent: f64,
 }
 
-/// Salt for the resilient LHS design RNG stream (distinct from the
-/// per-iteration proposal streams).
+/// Salt for the LHS design RNG stream (distinct from the per-iteration
+/// proposal streams).
 const LHS_SALT: u64 = 0x4c48_535f_4445_5347;
 
-/// Cached surrogate state of the failure-aware loop.
+/// Cached surrogate state of the BO loop.
 ///
-/// The invariant maintained by [`BoSearch::update_resilient_model`]: after
+/// The invariant maintained by [`BoSearch::update_model`]: after
 /// processing a record prefix of length `n_records`, this state is a
 /// **pure function of that prefix** — so an interrupted search can rebuild
 /// it exactly by replaying from the last retrain boundary.
-struct ResilientModel {
+struct CachedModel {
     surrogate: Surrogate,
     /// The imputed value baked into the training set, when any failure
     /// point is present under [`Imputation::WorstPlusMargin`]; `None` when
@@ -754,26 +672,25 @@ impl BoSearch {
     /// failed attempts are recorded and handled per `policy`, and **no
     /// non-finite value ever reaches the GP**.
     ///
-    /// Like [`BoSearch::run`], the surrogate is cached between
-    /// hyperparameter retrainings: every [`BoConfig::retrain_every`]
-    /// attempts it is retrained from the policy's training data, and in
-    /// between, new records are absorbed through the incremental append
-    /// fast path. Imputation is handled exactly — appending is only legal
-    /// while the imputed training value is unchanged, so an observation
-    /// that moves the observed worst/best (and with it every
-    /// previously-imputed training point) triggers a full retraining
-    /// instead ([`FailurePolicy::imputed_value`]).
+    /// The surrogate is cached between hyperparameter retrainings: every
+    /// [`BoConfig::retrain_every`] attempts it is retrained from the
+    /// policy's training data, and in between, new records are absorbed
+    /// through the incremental append fast path. Imputation is handled
+    /// exactly — appending is only legal while the imputed training value
+    /// is unchanged, so an observation that moves the observed worst/best
+    /// (and with it every previously-imputed training point) triggers a
+    /// full retraining instead ([`FailurePolicy::imputed_value`]).
     ///
-    /// The trajectory is still a *pure function of the accumulated
-    /// records*: the initial design is derived from the seed alone, each
-    /// iteration reseeds its RNG from `seed + attempts-so-far`, and the
-    /// cached surrogate after `ℓ` recorded attempts is itself a pure
-    /// function of the record prefix (retrain boundaries rebuild it from
-    /// scratch, so a resumed search replays only the short
-    /// boundary-to-crash segment to reconstruct the identical cache). A
-    /// search interrupted at *any* attempt therefore resumes
-    /// **bit-for-bit** via [`BoSearch::resume_resilient`] — a stronger
-    /// contract than the plain path.
+    /// The trajectory is a *pure function of the accumulated records*:
+    /// the initial design is derived from the seed alone, each iteration
+    /// reseeds its RNG from `seed + attempts-so-far`, and the cached
+    /// surrogate after `ℓ` recorded attempts is itself a pure function of
+    /// the record prefix (retrain boundaries rebuild it from scratch, so a
+    /// resumed search replays only the short boundary-to-crash segment to
+    /// reconstruct the identical cache). A search interrupted at *any*
+    /// attempt therefore resumes **bit-for-bit** via
+    /// [`BoSearch::resume_resilient`] (or [`BoSearch::resume`] for a
+    /// search started with [`BoSearch::run`]).
     ///
     /// The callback's second argument is the attempt ordinal (for keying
     /// retry backoff jitter).
@@ -794,23 +711,16 @@ impl BoSearch {
         policy: &FailurePolicy,
         checkpoint: &BoCheckpoint,
     ) -> Result<ResilientOutcome> {
-        if checkpoint.seed != self.config.seed {
-            return Err(CoreError::Checkpoint(format!(
-                "checkpoint seed {} does not match search seed {} — resuming would \
-                 diverge from the interrupted trajectory",
-                checkpoint.seed, self.config.seed
-            )));
-        }
-        self.check_tier(checkpoint)?;
+        self.check_resume(checkpoint)?;
         self.run_resilient_with_records(subspace, f, policy, checkpoint.records())
     }
 
     /// Rebuild the [`SearchOutcome`] implied by a record prefix without
     /// re-running anything.
     ///
-    /// The resilient loop's trajectory is a pure function of its record
-    /// history, so the best configuration, best value, and incumbent trace
-    /// are all recomputable from the records alone. Recovery layers (the
+    /// The loop's trajectory is a pure function of its record history, so
+    /// the best configuration, best value, and incumbent trace are all
+    /// recomputable from the records alone. Recovery layers (the
     /// `cets serve` WAL replay) use this to reconstruct a finished search's
     /// result from its log instead of re-evaluating anything; `wall_time`
     /// is zero because no work is performed.
@@ -838,7 +748,7 @@ impl BoSearch {
         policy: &FailurePolicy,
         records: Vec<EvalRecord>,
     ) -> Result<ResilientOutcome> {
-        self.run_resilient_observed(subspace, f, policy, records, &mut |_| Ok(()))
+        self.run_loop(subspace, f, policy, records, None, &mut |_| Ok(()))
     }
 
     /// [`BoSearch::run_resilient_with_records`] with a per-record observer.
@@ -856,7 +766,23 @@ impl BoSearch {
         subspace: &Subspace,
         f: impl Fn(&Config, usize) -> EvalOutcome,
         policy: &FailurePolicy,
+        records: Vec<EvalRecord>,
+        on_record: &mut dyn FnMut(&EvalRecord) -> Result<()>,
+    ) -> Result<ResilientOutcome> {
+        self.run_loop(subspace, f, policy, records, None, on_record)
+    }
+
+    /// The BO loop body every entry point runs. With a `prior` mean the
+    /// GP models the residual `y − prior(u)` of every training target
+    /// (imputed ones included) and the prior is added back before each
+    /// acquisition score.
+    fn run_loop(
+        &self,
+        subspace: &Subspace,
+        f: impl Fn(&Config, usize) -> EvalOutcome,
+        policy: &FailurePolicy,
         mut records: Vec<EvalRecord>,
+        prior: Option<PriorMean<'_>>,
         on_record: &mut dyn FnMut(&EvalRecord) -> Result<()>,
     ) -> Result<ResilientOutcome> {
         let cfg = &self.config;
@@ -869,27 +795,19 @@ impl BoSearch {
             ));
         }
         let start = Instant::now();
+        // Contraction-aware sampling slabs: the statically proved feasible
+        // slab union of each active dimension (a single full `(0, 1)` slab
+        // when nothing narrows, which maps draws bit-identically to the
+        // plain cube; disjoint slabs when branch-and-prune recovered them).
         let uslabs = crate::contraction::active_unit_slabs(subspace);
 
         let mut evaluate =
             |u: &[f64], records: &mut Vec<EvalRecord>| -> Result<()> {
                 let cfg_full = subspace.lift(u)?;
-                let rec = match f(&cfg_full, records.len()) {
-                    // Defense in depth: even if the callback skipped screening,
-                    // a non-finite total is recorded as a failure, never as an
-                    // observation.
-                    EvalOutcome::Ok(obs) if !obs.total.is_finite() => EvalRecord::failed(
-                        u.to_vec(),
-                        FailedEval::from_error(&EvalError::NonFinite {
-                            what: "total".into(),
-                        }),
-                    ),
-                    EvalOutcome::Ok(obs) => EvalRecord::ok(u.to_vec(), obs.total),
-                    EvalOutcome::Failed(e) => {
-                        EvalRecord::failed(u.to_vec(), FailedEval::from_error(&e))
-                    }
-                };
-                records.push(rec);
+                records.push(EvalRecord::from_outcome(
+                    u.to_vec(),
+                    f(&cfg_full, records.len()),
+                ));
                 if let Some(path) = &cfg.checkpoint_path {
                     BoCheckpoint::from_records(cfg.seed, records)
                         .with_tier(cfg.gp.tier.tag())
@@ -913,31 +831,34 @@ impl BoSearch {
         // Fixed initial design, a pure function of (seed, n_init): attempt
         // k < n_init evaluates design point k, whether in the original run
         // or a resumed one.
-        let design = self.resilient_design(subspace, &uslabs)?;
+        let design = self.initial_design(subspace, &uslabs)?;
         while records.len() < design.len() && within_budget(&records) {
             let u = design[records.len()].clone();
             evaluate(&u, &mut records)?;
         }
 
-        // Failure-aware BO loop. The cached surrogate after ℓ recorded
-        // attempts is a pure function of records[..ℓ] (see
-        // `update_resilient_model`), so a resumed run first replays the
-        // cache transitions from the last retrain boundary — boundaries
-        // rebuild the model from scratch regardless of the incoming state,
-        // which keeps the replay under `retrain_every` steps and makes its
-        // result identical to the uninterrupted run's cache.
-        let mut model: Option<ResilientModel> = None;
+        // BO loop. The cached surrogate after ℓ recorded attempts is a
+        // pure function of records[..ℓ] (see `update_model`), so a run
+        // handed a record prefix first replays the cache transitions from
+        // the last retrain boundary — boundaries rebuild the model from
+        // scratch regardless of the incoming state, which keeps the replay
+        // under `retrain_every` steps and makes its result identical to
+        // the uninterrupted run's cache. The tier itself is re-selected at
+        // each retraining from [`GpConfig::tier`], so a search that
+        // outgrows the exact tier's O(N³) wall escalates to the sparse
+        // tier automatically.
+        let mut model: Option<CachedModel> = None;
         if records.len() > design.len() && within_budget(&records) {
             let re = cfg.retrain_every.max(1);
             let prev = records.len() - 1;
             let from = ((prev / re) * re).max(design.len());
             for len in from..=prev {
-                self.update_resilient_model(&mut model, &records[..len], policy)?;
+                self.update_model(&mut model, &records[..len], policy, prior)?;
             }
         }
         while records.len() >= design.len() && within_budget(&records) {
             let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(records.len() as u64));
-            self.update_resilient_model(&mut model, &records, policy)?;
+            self.update_model(&mut model, &records, policy, prior)?;
             let u_next = match &model {
                 // No successful observation yet: keep exploring at random
                 // until one lands (bounded by budget and max_failures).
@@ -949,7 +870,7 @@ impl BoSearch {
                         .iter()
                         .filter_map(EvalRecord::y)
                         .fold(f64::INFINITY, f64::min);
-                    self.propose_impl(subspace, &uslabs, &m.surrogate, best, None, &mut rng)?
+                    self.propose_impl(subspace, &uslabs, &m.surrogate, best, prior, &mut rng)?
                 }
             };
             evaluate(&u_next, &mut records)?;
@@ -976,9 +897,9 @@ impl BoSearch {
         })
     }
 
-    /// Advance the failure-aware loop's cached surrogate to reflect
-    /// `records` (one new record per call in the steady state). The
-    /// post-state is a **pure function of the record prefix**:
+    /// Advance the loop's cached surrogate to reflect `records` (one new
+    /// record per call in the steady state). The post-state is a **pure
+    /// function of the record prefix**:
     ///
     /// * at retrain boundaries (`records.len()` divisible by
     ///   [`BoConfig::retrain_every`]) the model is rebuilt from scratch
@@ -992,12 +913,15 @@ impl BoSearch {
     ///   ([`FailurePolicy::imputed_value`]), every previously-imputed
     ///   training point is stale and the model is rebuilt instead.
     ///
-    /// The model is `None` while no finite successful observation exists.
-    fn update_resilient_model(
+    /// With a `prior` mean every training target is the residual
+    /// `y − prior(u)`. The model is `None` while no finite successful
+    /// observation exists.
+    fn update_model(
         &self,
-        model: &mut Option<ResilientModel>,
+        model: &mut Option<CachedModel>,
         records: &[EvalRecord],
         policy: &FailurePolicy,
+        prior: Option<PriorMean<'_>>,
     ) -> Result<()> {
         let cfg = &self.config;
         let finite_ok = |r: &EvalRecord| -> Option<f64> {
@@ -1005,6 +929,17 @@ impl BoSearch {
                 Some(y) if y.is_finite() && r.u.iter().all(|v| v.is_finite()) => Some(y),
                 _ => None,
             }
+        };
+        let residual = |u: &[f64], y: f64| match prior {
+            Some(m0) => y - m0(u),
+            None => y,
+        };
+        let training_data = || {
+            let (xs, mut ys) = policy.training_data(records);
+            for (y, u) in ys.iter_mut().zip(&xs) {
+                *y = residual(u, *y);
+            }
+            (xs, ys)
         };
         if !records.iter().any(|r| finite_ok(r).is_some()) {
             *model = None;
@@ -1030,11 +965,11 @@ impl BoSearch {
                     && (m.imputed.is_none() || m.imputed == imputed_now)
             });
         if !can_append {
-            let (xs, ys) = policy.training_data(records);
+            let (xs, ys) = training_data();
             let mut gp_cfg = cfg.gp.clone();
             gp_cfg.seed = cfg.seed.wrapping_add(records.len() as u64);
             let surrogate = Surrogate::train(&xs, &ys, &gp_cfg)?;
-            *model = Some(ResilientModel {
+            *model = Some(CachedModel {
                 surrogate,
                 imputed: imputed_now,
                 n_records: records.len(),
@@ -1051,19 +986,20 @@ impl BoSearch {
         // set untouched, as do failures under `Exclude` (where
         // `imputed_now` is `None`).
         let append = match (finite_ok(last), last.is_ok()) {
-            (Some(y), _) => Some((last.u.clone(), y)),
+            (Some(y), _) => Some(y),
             (None, true) => None,
-            (None, false) if last.u.iter().all(|v| v.is_finite()) => {
-                imputed_now.map(|iv| (last.u.clone(), iv))
-            }
+            (None, false) if last.u.iter().all(|v| v.is_finite()) => imputed_now,
             (None, false) => None,
         };
-        if let Some((u, y)) = append {
-            if m.surrogate.append(u, y).is_err() {
+        if let Some(y) = append {
+            if m.surrogate
+                .append(last.u.clone(), residual(&last.u, y))
+                .is_err()
+            {
                 // The incremental update lost definiteness: refit the same
                 // hyperparameters on the full training set (deterministic,
-                // no optimizer) — the analogue of `run_inner`'s fallback.
-                let (xs, ys) = policy.training_data(records);
+                // no optimizer).
+                let (xs, ys) = training_data();
                 m.surrogate = m.surrogate.refit(&xs, &ys)?;
             }
         }
@@ -1072,10 +1008,10 @@ impl BoSearch {
         Ok(())
     }
 
-    /// The resilient path's Latin-hypercube initial design, derived from
-    /// the seed alone (with per-point constraint-rejection fallback) so
-    /// interrupted and uninterrupted runs compute the same points.
-    fn resilient_design(
+    /// The Latin-hypercube initial design, derived from the seed alone
+    /// (with per-point constraint-rejection fallback) so interrupted and
+    /// uninterrupted runs compute the same points.
+    fn initial_design(
         &self,
         subspace: &Subspace,
         uslabs: &[Vec<(f64, f64)>],
@@ -1255,9 +1191,8 @@ mod tests {
         // leak into the arithmetic.
         let obj = SplitSphere::new();
         let sub = Subspace::full(obj.space(), obj.default_config()).unwrap();
-        let run = |parallel: bool, n_workers: usize| {
+        let run = |n_workers: usize| {
             let cfg = BoConfig {
-                parallel,
                 n_workers,
                 ..quick_config(25, 42)
             };
@@ -1265,9 +1200,9 @@ mod tests {
                 .run(&sub, |c| obj.evaluate(c).total)
                 .unwrap()
         };
-        let sequential = run(false, 0);
+        let sequential = run(1);
         for workers in [0, 2, 3, 5] {
-            let par = run(true, workers);
+            let par = run(workers);
             assert_eq!(
                 sequential.history, par.history,
                 "history diverged with n_workers={workers}"
@@ -1495,7 +1430,9 @@ mod tests {
         // always-retrain loop bit for bit. The reference below replicates
         // that loop verbatim: fresh `Gp::train` on the policy's training
         // data every iteration, no cache, same per-iteration RNG streams.
-        use crate::resilience::{EvalOutcome, FaultKind, FaultPlan, FaultyObjective, VirtualClock};
+        use crate::resilience::{
+            EvalOutcome, FailedEval, FaultKind, FaultPlan, FaultyObjective, VirtualClock,
+        };
         use crate::Objective as _;
         use cets_gp::Gp;
         use std::sync::Arc;
@@ -1526,7 +1463,7 @@ mod tests {
         let uslabs = crate::contraction::active_unit_slabs(&sub);
         let clock2 = Arc::new(VirtualClock::new());
         let faulty2 = FaultyObjective::new(&obj, plan, clock2);
-        let design = search.resilient_design(&sub, &uslabs).unwrap();
+        let design = search.initial_design(&sub, &uslabs).unwrap();
         let mut records: Vec<EvalRecord> = Vec::new();
         let evaluate = |u: &[f64], records: &mut Vec<EvalRecord>| {
             let cfg_full = sub.lift(u).unwrap();
@@ -1635,6 +1572,90 @@ mod tests {
         assert!(search
             .resume(&sub, |c| obj.evaluate(c).total, &cp_old)
             .is_ok());
+    }
+
+    #[test]
+    fn plain_resume_is_bit_for_bit_at_any_attempt() {
+        // A plain search is the record loop over an evaluator that never
+        // fails, so it inherits the loop's resume contract: cut the
+        // checkpoint at any attempt — inside the initial design, at a
+        // retrain boundary, between boundaries — and the resumed search
+        // reproduces the uninterrupted history bit for bit.
+        let obj = SplitSphere::new();
+        let sub = Subspace::full(obj.space(), obj.default_config()).unwrap();
+        let f = |c: &Config| obj.evaluate(c).total;
+        let path =
+            std::env::temp_dir().join(format!("cets_plain_resume_{}.json", std::process::id()));
+        let cfg = BoConfig {
+            checkpoint_path: Some(path.clone()),
+            ..quick_config(16, 23)
+        };
+        let full = BoSearch::new(cfg.clone()).run(&sub, f).unwrap();
+        // The run's own last checkpoint holds its whole history.
+        let last = BoCheckpoint::load(&path).unwrap();
+        assert_eq!(last.history(), full.history);
+        std::fs::remove_file(&path).ok();
+
+        let search = BoSearch::new(BoConfig {
+            checkpoint_path: None,
+            ..cfg
+        });
+        for k in 1..full.history.len() {
+            let cp = BoCheckpoint::from_history(23, &full.history[..k])
+                .with_tier(search.config.gp.tier.tag());
+            let resumed = search.resume(&sub, f, &cp).unwrap();
+            assert_eq!(
+                resumed.history, full.history,
+                "diverged after resuming at attempt {k}"
+            );
+        }
+        // A checkpoint from another seed cannot continue this trajectory.
+        let foreign = BoCheckpoint::from_history(24, &full.history[..3]);
+        assert!(matches!(
+            search.resume(&sub, f, &foreign),
+            Err(CoreError::Checkpoint(_))
+        ));
+    }
+
+    #[test]
+    fn zero_prior_mean_reproduces_the_plain_run() {
+        // The prior enters every training target as `y − prior(u)` and
+        // every acquisition score as `mean + prior(u)`, so a zero prior is
+        // the identity and a tilted one steers the search elsewhere.
+        let obj = SplitSphere::new();
+        let sub = Subspace::full(obj.space(), obj.default_config()).unwrap();
+        let f = |c: &Config| obj.evaluate(c).total;
+        let search = BoSearch::new(quick_config(15, 4));
+        let plain = search.run(&sub, f).unwrap();
+        let zero = |_: &[f64]| 0.0;
+        let with_zero = search.run_with_prior(&sub, f, Vec::new(), &zero).unwrap();
+        assert_eq!(with_zero.history, plain.history);
+        let tilt = |u: &[f64]| 10.0 * u[0];
+        let tilted = search.run_with_prior(&sub, f, Vec::new(), &tilt).unwrap();
+        assert_ne!(tilted.history, plain.history);
+    }
+
+    #[test]
+    fn non_finite_plain_values_become_failure_records() {
+        // A plain objective cannot fail, but a NaN total is still never an
+        // observation: it is a failed attempt, charged and imputed like any
+        // other, and absent from the history.
+        let obj = SplitSphere::new();
+        let sub = Subspace::full(obj.space(), obj.default_config()).unwrap();
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let out = BoSearch::new(quick_config(14, 8))
+            .run(&sub, |c| {
+                let n = calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if n % 4 == 3 {
+                    f64::NAN
+                } else {
+                    obj.evaluate(c).total
+                }
+            })
+            .unwrap();
+        assert_eq!(calls.into_inner(), 14);
+        assert_eq!(out.n_evals, 14 - 3);
+        assert!(out.history.iter().all(|(_, y)| y.is_finite()));
     }
 
     #[test]

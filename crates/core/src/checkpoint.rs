@@ -10,8 +10,9 @@
 //! ## Format
 //!
 //! Checkpoints are versioned JSON objects. **Version 2** (current) records
-//! every *attempt*, including failures, so a failure-aware search
-//! ([`crate::BoSearch::run_resilient`]) resumes bit-for-bit:
+//! every *attempt*, including failures, so every search — plain
+//! ([`crate::BoSearch::run`]) or failure-aware
+//! ([`crate::BoSearch::run_resilient`]) — resumes bit-for-bit:
 //!
 //! ```json
 //! {

@@ -62,9 +62,9 @@ pub use highdim::{dropout_bo, full_space_bo, rembo};
 pub use insights::{gather_insights, FeatureInsights, InsightsConfig};
 pub use interaction::{pairwise_interactions, pairwise_interactions_on, InteractionAnalysis};
 pub use methodology::{
-    build_graph, execute_plan, execute_plan_resilient, ExecutionLedger, LintPolicy, Methodology,
-    MethodologyConfig, MethodologyReport, PlanExecution, PlannedSearch, SearchDisposition,
-    SearchLedgerEntry, SearchPlan, SearchTarget,
+    build_graph, execute_plan, ExecutionLedger, LintPolicy, Methodology, MethodologyConfig,
+    MethodologyReport, PlanExecution, PlannedSearch, SearchDisposition, SearchLedgerEntry,
+    SearchPlan, SearchTarget,
 };
 pub use objective::{ContractedObjective, CountingObjective, Objective, Observation};
 pub use random_search::{random_search, RandomSearchConfig};

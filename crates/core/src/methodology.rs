@@ -2,7 +2,7 @@
 //! sensitivity → influence DAG → partition → capped search plan → staged,
 //! parallel BO execution.
 
-use crate::bo::{BoConfig, BoSearch, SearchOutcome};
+use crate::bo::{BoConfig, BoSearch, ResilientOutcome, SearchOutcome};
 use crate::db::Database;
 use crate::objective::Objective;
 use crate::resilience::{EvalOutcome, EvalRecord, ResilienceConfig, ResilientObjective};
@@ -149,7 +149,7 @@ pub struct MethodologyReport {
     pub plan: SearchPlan,
 }
 
-/// How one planned search ended under the fault-tolerant executor.
+/// How one planned search ended.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SearchDisposition {
     /// The search produced a usable outcome (possibly with failed
@@ -182,8 +182,8 @@ pub struct SearchLedgerEntry {
     pub disposition: SearchDisposition,
 }
 
-/// The failure ledger of a fault-tolerant plan execution: one entry per
-/// search, in execution order. Empty for legacy (non-resilient) runs.
+/// The failure ledger of a plan execution: one entry per search, in
+/// execution order, then one for the closing verification evaluation.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecutionLedger {
     /// Per-search entries, in execution order.
@@ -214,8 +214,8 @@ impl ExecutionLedger {
 #[derive(Debug, Clone)]
 pub struct PlanExecution {
     /// Each search's outcome, in execution order, tagged by name.
-    /// Degraded searches (fault-tolerant executor only) are absent here
-    /// and present in [`PlanExecution::ledger`].
+    /// Degraded searches are absent here and present in
+    /// [`PlanExecution::ledger`].
     pub searches: Vec<(String, SearchOutcome)>,
     /// All searches' best values folded into one configuration.
     pub final_config: Config,
@@ -231,8 +231,8 @@ pub struct PlanExecution {
     /// transfer learning via [`Database::to_transfer_seed`]). Record order
     /// within a parallel stage is nondeterministic; contents are not.
     pub database: Database,
-    /// Per-search failure accounting ([`execute_plan_resilient`] only;
-    /// empty for the legacy executor).
+    /// Per-search failure accounting: one entry per search plus the
+    /// closing verification evaluation.
     pub ledger: ExecutionLedger,
 }
 
@@ -259,22 +259,21 @@ pub struct MethodologyConfig {
     pub bo: BoConfig,
     /// Budget rule: `evals_per_dim × dims` per search (paper: 10).
     pub evals_per_dim: usize,
-    /// Run independent searches of one stage in parallel threads.
-    pub parallel: bool,
-    /// Worker budget for the whole execution when [`Self::parallel`] is
-    /// on: stage searches share it, and each search's leftover goes to GP
-    /// training and candidate scoring (unless the [`Self::bo`] template
-    /// pins its own counts). Results are bit-identical at any budget.
+    /// Worker budget for the whole execution (`ParConfig::fixed(1)` runs
+    /// fully sequentially): stage searches share it, and each search's
+    /// leftover goes to GP training and candidate scoring (unless the
+    /// [`Self::bo`] template pins its own counts). Results are
+    /// bit-identical at any budget.
     pub par: ParConfig,
     /// How strictly the pre-execution linter gates [`Methodology::run`].
     pub lint: LintPolicy,
-    /// Fault tolerance. `None` (default) keeps the legacy fail-fast
-    /// executor: any panicking or non-finite evaluation aborts the run.
-    /// `Some(..)` routes execution through [`execute_plan_resilient`]:
-    /// evaluations are guarded (panic containment, non-finite screening,
-    /// watchdog, retries), failures are imputed into the BO loop, a search
-    /// that produces nothing is isolated instead of aborting the plan, and
-    /// [`PlanExecution::ledger`] reports the damage.
+    /// Fault tolerance of [`execute_plan`]. Every run guards its
+    /// evaluations (panic containment, non-finite screening), imputes
+    /// failures into the BO loop, isolates a search that produces nothing
+    /// instead of aborting the plan, and reports the damage in
+    /// [`PlanExecution::ledger`]. `None` (default) retries nothing and
+    /// runs no watchdog, under the default [`crate::FailurePolicy`];
+    /// `Some(..)` sets the guard, failure accounting and clock.
     pub resilience: Option<ResilienceConfig>,
     /// Statically contract the search box before execution.
     ///
@@ -299,7 +298,6 @@ impl Default for MethodologyConfig {
             shared_params: vec![],
             bo: BoConfig::default(),
             evals_per_dim: 10,
-            parallel: true,
             par: ParConfig::default(),
             lint: LintPolicy::default(),
             resilience: None,
@@ -623,28 +621,20 @@ impl Methodology {
         Ok(Some(builder.try_build()?))
     }
 
-    /// Execute a previously computed report's plan
-    /// (fault-tolerantly when [`MethodologyConfig::resilience`] is set).
+    /// Execute a previously computed report's plan under
+    /// [`MethodologyConfig::par`] and [`MethodologyConfig::resilience`].
     pub fn execute<O: Objective + ?Sized>(
         &self,
         objective: &O,
         report: &MethodologyReport,
     ) -> Result<PlanExecution> {
-        let workers = if self.config.parallel {
-            self.config.par.resolve()
-        } else {
-            1
-        };
-        match &self.config.resilience {
-            Some(resilience) => execute_plan_resilient_with(
-                objective,
-                &report.plan,
-                &self.config.bo,
-                workers,
-                resilience,
-            ),
-            None => execute_plan_with(objective, &report.plan, &self.config.bo, workers),
-        }
+        execute_plan(
+            objective,
+            &report.plan,
+            &self.config.bo,
+            self.config.par.resolve(),
+            self.config.resilience.as_ref(),
+        )
     }
 
     /// Full pipeline: analyze, **lint** (see [`MethodologyConfig::lint`]),
@@ -695,21 +685,6 @@ pub fn build_graph<O: Objective + ?Sized>(
     Ok(graph)
 }
 
-/// Execute an arbitrary [`SearchPlan`] against an objective: stages
-/// sequentially; within a stage, searches share a thread pool when
-/// `parallel`. After each stage, every search's best values are frozen
-/// into the shared defaults used by later stages, and all searches' best
-/// values are folded into the final configuration.
-pub fn execute_plan<O: Objective + ?Sized>(
-    objective: &O,
-    plan: &SearchPlan,
-    bo_template: &BoConfig,
-    parallel: bool,
-) -> Result<PlanExecution> {
-    let workers = if parallel { par::global_threads() } else { 1 };
-    execute_plan_with(objective, plan, bo_template, workers)
-}
-
 /// Split a stage's worker budget: up to `workers` concurrent searches,
 /// with each search's BO loop (GP training, candidate scoring) given the
 /// leftover `workers / used` — unless the template already pins explicit
@@ -728,19 +703,42 @@ fn stage_budget(bo_template: &BoConfig, workers: usize, n_searches: usize) -> (u
     (used, bo)
 }
 
-/// [`execute_plan`] with an explicit worker budget (`1` = fully
-/// sequential; results are bit-identical at any budget).
-pub fn execute_plan_with<O: Objective + ?Sized>(
+/// Execute an arbitrary [`SearchPlan`] against an objective: stages
+/// sequentially; within a stage, searches share a budget of `workers`
+/// threads (`1` = fully sequential; results are bit-identical at any
+/// budget). After each stage, every search's best values are frozen into
+/// the shared defaults used by later stages, and all searches' best values
+/// are folded into the final configuration.
+///
+/// Every evaluation runs through a per-search [`ResilientObjective`]
+/// (panic containment, non-finite screening, and — when `resilience`
+/// asks for them — watchdog and retries; `None` asks for neither). The BO
+/// loops record failures and
+/// impute them ([`BoSearch::run_resilient_with_records`]), and a search
+/// that produces **no** usable outcome — all attempts failed, failure cap
+/// hit, or its infrastructure errored — is *isolated*: its parameters stay
+/// at the stage's entry defaults, the remaining searches proceed, and the
+/// [`ExecutionLedger`] records what happened. The run aborts only when
+/// every search degraded — with the first one's error, since there is no
+/// configuration to report — or when the folded configuration violates a
+/// cross-search constraint (the result would be wrong, not merely
+/// partial).
+pub fn execute_plan<O: Objective + ?Sized>(
     objective: &O,
     plan: &SearchPlan,
     bo_template: &BoConfig,
     workers: usize,
+    resilience: Option<&ResilienceConfig>,
 ) -> Result<PlanExecution> {
+    let unguarded = ResilienceConfig::unguarded();
+    let resilience = resilience.unwrap_or(&unguarded);
     let start = Instant::now();
     let space = objective.space();
     let routine_names = objective.routine_names();
     let mut current = objective.default_config();
     let mut all: Vec<(String, SearchOutcome)> = Vec::new();
+    let mut ledger = ExecutionLedger::default();
+    let mut first_error: Option<CoreError> = None;
     let db = Mutex::new(Database::for_objective("plan-execution", objective));
 
     for (stage_idx, stage) in plan.stages.iter().enumerate() {
@@ -764,144 +762,16 @@ pub fn execute_plan_with<O: Objective + ?Sized>(
             })
             .collect::<Result<Vec<_>>>()?;
 
+        // One search under full protection. Returns the outcome (or the
+        // degradation reason) with the guard's attempt counts.
         let (used, bo_stage) = stage_budget(bo_template, workers, prepared.len());
-        let run_one =
-            |(i, s, idxs): &(usize, &PlannedSearch, Vec<usize>)| -> Result<SearchOutcome> {
-                let names: Vec<&str> = s.params.iter().map(|p| p.as_str()).collect();
-                let subspace = Subspace::new(space, &names, current.clone())?;
-                let mut bo_cfg = bo_stage.clone();
-                bo_cfg.max_evals = s.budget;
-                bo_cfg.seed = bo_template
-                    .seed
-                    .wrapping_add((stage_idx as u64) << 32)
-                    .wrapping_add(*i as u64 + 1);
-                let f = |cfg: &Config| -> f64 {
-                    let obs = objective.evaluate(cfg);
-                    db.lock().push(cfg.clone(), &obs, s.name.clone());
-                    if idxs.is_empty() {
-                        obs.total
-                    } else {
-                        idxs.iter().map(|&r| obs.routines[r]).sum()
-                    }
-                };
-                // Seed with the incumbent defaults: the tuner always knows the
-                // current configuration's cost, so the search can never report
-                // a best worse than what it started from (costs 1 evaluation
-                // of the budget, like any other observation).
-                let u0 = subspace.project(&current)?;
-                let y0 = f(&subspace.lift(&u0)?);
-                BoSearch::new(bo_cfg).run_with_history(&subspace, f, vec![(u0, y0)])
-            };
-
-        // Fixed chunks + index-ordered results: the fold below visits
-        // searches in plan order regardless of the worker count.
-        let outcomes: Vec<Result<SearchOutcome>> =
-            par::map_indexed(used, prepared.len(), |idx| run_one(&prepared[idx]));
-
-        for ((_, s, _), outcome) in prepared.iter().zip(outcomes) {
-            let outcome = outcome?;
-            // Freeze this search's best values into the running defaults.
-            for p in &s.params {
-                let idx = space.index_of(p)?;
-                current[idx] = outcome.best_config[idx].clone();
-            }
-            all.push((s.name.clone(), outcome));
-        }
-        space.check_valid(&current).map_err(|e| {
-            CoreError::SearchStalled(format!(
-                "folded configuration invalid after stage {stage_idx}: {e}"
-            ))
-        })?;
-    }
-
-    let final_obs = objective.evaluate(&current);
-    let final_value = final_obs.total;
-    let mut database = db.into_inner();
-    database.push(current.clone(), &final_obs, "final");
-    Ok(PlanExecution {
-        total_evals: all.iter().map(|(_, o)| o.n_evals).sum(),
-        searches: all,
-        final_config: current,
-        final_value,
-        wall_time: start.elapsed(),
-        database,
-        ledger: ExecutionLedger::default(),
-    })
-}
-
-/// Fault-tolerant variant of [`execute_plan`]: every evaluation runs
-/// through a per-search [`ResilientObjective`] (panic containment,
-/// non-finite screening, watchdog, retries), the BO loops are
-/// failure-aware ([`BoSearch::run_resilient_with_records`]), and a search
-/// that produces **no** usable outcome — all attempts failed, failure cap
-/// hit, or its infrastructure errored — is *isolated*: its parameters stay
-/// at the stage's entry defaults, the remaining searches proceed, and the
-/// [`ExecutionLedger`] records what happened. The run aborts only when
-/// nothing succeeded anywhere (there is no configuration to report) or the
-/// folded configuration violates a cross-search constraint (the result
-/// would be wrong, not merely partial).
-pub fn execute_plan_resilient<O: Objective + ?Sized>(
-    objective: &O,
-    plan: &SearchPlan,
-    bo_template: &BoConfig,
-    parallel: bool,
-    resilience: &ResilienceConfig,
-) -> Result<PlanExecution> {
-    let workers = if parallel { par::global_threads() } else { 1 };
-    execute_plan_resilient_with(objective, plan, bo_template, workers, resilience)
-}
-
-/// [`execute_plan_resilient`] with an explicit worker budget (`1` = fully
-/// sequential; results are bit-identical at any budget).
-pub fn execute_plan_resilient_with<O: Objective + ?Sized>(
-    objective: &O,
-    plan: &SearchPlan,
-    bo_template: &BoConfig,
-    workers: usize,
-    resilience: &ResilienceConfig,
-) -> Result<PlanExecution> {
-    let start = Instant::now();
-    let space = objective.space();
-    let routine_names = objective.routine_names();
-    let mut current = objective.default_config();
-    let mut all: Vec<(String, SearchOutcome)> = Vec::new();
-    let mut ledger = ExecutionLedger::default();
-    let db = Mutex::new(Database::for_objective("plan-execution", objective));
-
-    for (stage_idx, stage) in plan.stages.iter().enumerate() {
-        let prepared: Vec<(usize, &PlannedSearch, Vec<usize>)> = stage
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let idxs = match &s.target {
-                    SearchTarget::Total => vec![],
-                    SearchTarget::Routines(names) => names
-                        .iter()
-                        .map(|n| {
-                            routine_names.iter().position(|r| r == n).ok_or_else(|| {
-                                CoreError::BadConfig(format!("unknown routine {n} in plan"))
-                            })
-                        })
-                        .collect::<Result<Vec<usize>>>()?,
-                };
-                Ok((i, s, idxs))
-            })
-            .collect::<Result<Vec<_>>>()?;
-
-        // One search under full protection. Returns the ledger entry along
-        // with the outcome (or the degradation reason).
-        let (used, bo_stage) = stage_budget(bo_template, workers, prepared.len());
-        let run_one = |(i, s, idxs): &(usize, &PlannedSearch, Vec<usize>)| -> (
-            std::result::Result<crate::bo::ResilientOutcome, String>,
-            usize, // attempts (only meaningful on the error side)
-            usize, // failed attempts (ditto)
-        ) {
+        let run_one = |(i, s, idxs): &(usize, &PlannedSearch, Vec<usize>)| -> OneResult {
             let guarded = ResilientObjective::new(
                 objective,
                 resilience.guard.clone(),
                 Arc::clone(&resilience.clock),
             );
-            let attempt = |sub: &Subspace| -> Result<crate::bo::ResilientOutcome> {
+            let attempt = |sub: &Subspace| -> Result<ResilientOutcome> {
                 let mut bo_cfg = bo_stage.clone();
                 bo_cfg.max_evals = s.budget;
                 bo_cfg.seed = bo_template
@@ -923,16 +793,14 @@ pub fn execute_plan_resilient_with<O: Objective + ?Sized>(
                         failed => failed,
                     }
                 };
-                // Seed with the incumbent defaults, exactly like the legacy
-                // executor — but a failing incumbent evaluation is a
-                // recorded failure, not an abort.
+                // Seed with the incumbent defaults: the tuner always knows
+                // the current configuration's cost, so the search can never
+                // report a best worse than what it started from (costs 1
+                // evaluation of the budget, like any other observation). A
+                // failing incumbent evaluation is a recorded failure, not an
+                // abort.
                 let u0 = sub.project(&current)?;
-                let rec0 = match f(&sub.lift(&u0)?, 0) {
-                    EvalOutcome::Ok(obs) => EvalRecord::ok(u0, obs.total),
-                    EvalOutcome::Failed(e) => {
-                        EvalRecord::failed(u0, crate::resilience::FailedEval::from_error(&e))
-                    }
-                };
+                let rec0 = EvalRecord::from_outcome(u0.clone(), f(&sub.lift(&u0)?, 0));
                 BoSearch::new(bo_cfg).run_resilient_with_records(
                     sub,
                     f,
@@ -943,16 +811,10 @@ pub fn execute_plan_resilient_with<O: Objective + ?Sized>(
             let names: Vec<&str> = s.params.iter().map(|p| p.as_str()).collect();
             let result = Subspace::new(space, &names, current.clone())
                 .map_err(CoreError::from)
-                .and_then(|sub| attempt(&sub))
-                .map_err(|e| e.to_string());
+                .and_then(|sub| attempt(&sub));
             (result, guarded.attempts(), guarded.failed_attempts())
         };
 
-        type OneResult = (
-            std::result::Result<crate::bo::ResilientOutcome, String>,
-            usize,
-            usize,
-        );
         // Fixed chunks + index-ordered results: the ledger fold below
         // visits searches in plan order regardless of the worker count.
         let outcomes: Vec<OneResult> =
@@ -977,7 +839,7 @@ pub fn execute_plan_resilient_with<O: Objective + ?Sized>(
                     });
                     all.push((s.name.clone(), r.outcome));
                 }
-                Err(reason) => {
+                Err(e) => {
                     // Isolate: this search contributes nothing; its
                     // parameters stay at the stage's entry defaults.
                     ledger.entries.push(SearchLedgerEntry {
@@ -987,14 +849,14 @@ pub fn execute_plan_resilient_with<O: Objective + ?Sized>(
                         n_failed: failed_attempts,
                         budget_spent: resilience.failure.budget_fraction * failed_attempts as f64
                             + (attempts - failed_attempts) as f64,
-                        disposition: SearchDisposition::Degraded(reason),
+                        disposition: SearchDisposition::Degraded(e.to_string()),
                     });
+                    first_error.get_or_insert(e);
                 }
             }
         }
         // A folded configuration that violates a cross-search constraint is
-        // wrong, not partial: still a hard error (same contract as the
-        // legacy executor).
+        // wrong, not partial: a hard error.
         space.check_valid(&current).map_err(|e| {
             CoreError::SearchStalled(format!(
                 "folded configuration invalid after stage {stage_idx}: {e}"
@@ -1002,12 +864,8 @@ pub fn execute_plan_resilient_with<O: Objective + ?Sized>(
         })?;
     }
 
-    if all.is_empty() {
-        return Err(CoreError::SearchStalled(format!(
-            "every search in the plan degraded ({} entries in the ledger); \
-             no configuration to report",
-            ledger.entries.len()
-        )));
+    if let (true, Some(e)) = (all.is_empty(), first_error) {
+        return Err(e);
     }
 
     // Final verification evaluation, itself guarded: if it fails, fall back
@@ -1067,6 +925,11 @@ pub fn execute_plan_resilient_with<O: Objective + ?Sized>(
         ledger,
     })
 }
+
+/// One search's result in [`execute_plan`]: the outcome or the error it
+/// degraded with, and the guard's attempt and failed-attempt counts (read
+/// only on the degraded side, where no record history survives).
+type OneResult = (Result<ResilientOutcome>, usize, usize);
 
 #[cfg(test)]
 mod tests {
@@ -1203,17 +1066,17 @@ mod tests {
     #[test]
     fn parallel_and_sequential_agree() {
         let obj = SplitSphere::new();
-        let mk = |parallel| {
+        let mk = |threads| {
             let m = Methodology::new(MethodologyConfig {
                 bo: quick_bo(),
                 evals_per_dim: 6,
-                parallel,
+                par: ParConfig::fixed(threads),
                 ..Default::default()
             });
             m.run(&obj, &owners3(), &obj.default_config()).unwrap().1
         };
-        let seq = mk(false);
-        let par = mk(true);
+        let seq = mk(1);
+        let par = mk(4);
         assert_eq!(seq.final_value, par.final_value);
         assert_eq!(seq.final_config, par.final_config);
     }
@@ -1313,7 +1176,7 @@ mod tests {
                 },
             ]],
         };
-        let err = execute_plan(&obj, &plan, &quick_bo(), true).unwrap_err();
+        let err = execute_plan(&obj, &plan, &quick_bo(), 2, None).unwrap_err();
         assert!(
             matches!(err, CoreError::SearchStalled(_)),
             "expected SearchStalled, got {err}"
@@ -1444,13 +1307,13 @@ mod tests {
             // of its evaluations crashes. The r0 search trips the trap only
             // on its incumbent seed (all defaults).
             let obj = PanicOn::new(|a, b, _| a == 1.0 && b == 1.0);
-            for parallel in [false, true] {
-                let exec = execute_plan_resilient(
+            for workers in [1, 2] {
+                let exec = execute_plan(
                     &obj,
                     &two_search_plan(),
                     &quick_bo(),
-                    parallel,
-                    &quick_resilience(),
+                    workers,
+                    Some(&quick_resilience()),
                 )
                 .unwrap();
                 assert_eq!(exec.ledger.n_degraded(), 1, "ledger: {:?}", exec.ledger);
@@ -1507,8 +1370,8 @@ mod tests {
                     },
                 ]],
             };
-            let exec = execute_plan_resilient(&obj, &plan, &quick_bo(), false, &quick_resilience())
-                .unwrap();
+            let exec =
+                execute_plan(&obj, &plan, &quick_bo(), 1, Some(&quick_resilience())).unwrap();
             let last = exec.ledger.entries.last().unwrap();
             assert_eq!(last.search, "final");
             assert!(matches!(last.disposition, SearchDisposition::Degraded(_)));
@@ -1524,12 +1387,12 @@ mod tests {
         fn all_searches_failing_is_a_hard_error() {
             quiet_panics();
             let obj = PanicOn::new(|_, _, _| true);
-            let err = execute_plan_resilient(
+            let err = execute_plan(
                 &obj,
                 &two_search_plan(),
                 &quick_bo(),
-                false,
-                &quick_resilience(),
+                1,
+                Some(&quick_resilience()),
             )
             .unwrap_err();
             assert!(
@@ -1613,35 +1476,51 @@ mod tests {
 
     #[test]
     fn contract_bounds_run_is_no_worse_at_equal_budget() {
+        // Contraction changes candidate density, not the number of
+        // objective evaluations. Whether the denser supply wins on one
+        // seed is chance, so the quality claim is over a fixed set of
+        // seeds: the contracted median final value is no worse than the
+        // plain one. Neighbouring seeds share most of their proposal
+        // streams (search seed `s` at attempt `k + 1` draws what seed
+        // `s + 1` draws at attempt `k`), so a short run of consecutive
+        // seeds holds few independent samples; hence forty of them.
         let obj = boxed::Boxed::new();
         let owners = [("a", "r0"), ("b", "r0")];
-        let base = MethodologyConfig {
-            bo: quick_bo(),
-            evals_per_dim: 8,
-            ..Default::default()
-        };
-        let plain = Methodology::new(base.clone())
+        let mut plain_values = Vec::new();
+        let mut contracted_values = Vec::new();
+        for seed in 0..40 {
+            let base = MethodologyConfig {
+                bo: BoConfig { seed, ..quick_bo() },
+                evals_per_dim: 8,
+                ..Default::default()
+            };
+            let plain = Methodology::new(base.clone())
+                .run(&obj, &owners, &obj.default_config())
+                .unwrap()
+                .1;
+            let contracted = Methodology::new(MethodologyConfig {
+                contract_bounds: true,
+                ..base
+            })
             .run(&obj, &owners, &obj.default_config())
             .unwrap()
             .1;
-        let contracted = Methodology::new(MethodologyConfig {
-            contract_bounds: true,
-            ..base
-        })
-        .run(&obj, &owners, &obj.default_config())
-        .unwrap()
-        .1;
-        // Same budget either way: contraction changes candidate density,
-        // not the number of objective evaluations.
-        assert_eq!(contracted.total_evals, plain.total_evals);
+            assert_eq!(contracted.total_evals, plain.total_evals, "seed {seed}");
+            // The result is still a valid configuration of the *original*
+            // space.
+            assert!(obj.space().is_valid(&contracted.final_config));
+            plain_values.push(plain.final_value);
+            contracted_values.push(contracted.final_value);
+        }
+        let median = |mut v: Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            (v[(v.len() - 1) / 2] + v[v.len() / 2]) / 2.0
+        };
+        let (plain, contracted) = (median(plain_values), median(contracted_values));
         assert!(
-            contracted.final_value <= plain.final_value + 1e-9,
-            "contracted {} !<= plain {}",
-            contracted.final_value,
-            plain.final_value
+            contracted <= plain,
+            "contracted median {contracted} !<= plain median {plain}"
         );
-        // The result is still a valid configuration of the *original* space.
-        assert!(obj.space().is_valid(&contracted.final_config));
     }
 
     #[test]
@@ -1843,6 +1722,6 @@ mod tests {
                 budget: 5,
             }]],
         };
-        assert!(execute_plan(&obj, &plan, &quick_bo(), false).is_err());
+        assert!(execute_plan(&obj, &plan, &quick_bo(), 1, None).is_err());
     }
 }

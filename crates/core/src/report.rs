@@ -121,9 +121,9 @@ pub fn render_markdown<O: Objective + ?Sized>(
             exec.final_value, exec.total_evals, exec.wall_time
         );
 
-        // Failure ledger (resilient executions only). A clean resilient run
-        // still lists its per-search entries — "nothing failed" is evidence
-        // worth recording, not an absence of information.
+        // Failure ledger. Every execution keeps one, and a clean run still
+        // lists its per-search entries — "nothing failed" is evidence worth
+        // recording, not an absence of information.
         if !exec.ledger.entries.is_empty() {
             let _ = writeln!(md, "### Failure ledger\n");
             let _ = writeln!(
@@ -201,8 +201,10 @@ mod tests {
         ] {
             assert!(md.contains(needle), "missing section: {needle}\n{md}");
         }
-        // The legacy executor keeps no ledger; the section is omitted.
-        assert!(!md.contains("Failure ledger"));
+        // Every execution keeps a failure ledger, a run without resilience
+        // options included: one entry per search plus the final check.
+        assert!(md.contains("### Failure ledger"), "{md}");
+        assert!(md.contains("| final |"), "{md}");
     }
 
     #[test]

@@ -21,10 +21,11 @@
 //!    configuration (order-independent), and injected latency that the
 //!    watchdog observes through the shared clock.
 //!
-//! The failure-aware BO loop ([`crate::BoSearch::run_resilient`]) consumes
-//! [`EvalOutcome`]s and guarantees no non-finite value ever reaches
-//! `Gp::train`; the methodology driver isolates whole-search failures into
-//! a ledger ([`crate::methodology::ExecutionLedger`]) instead of aborting.
+//! The BO loop ([`crate::BoSearch::run_resilient`], which every search
+//! runs) consumes [`EvalOutcome`]s and guarantees no non-finite value ever
+//! reaches `Gp::train`; the plan executor isolates whole-search failures
+//! into a ledger ([`crate::methodology::ExecutionLedger`]) instead of
+//! aborting.
 
 use crate::objective::{Objective, Observation};
 use cets_space::Config;
@@ -258,6 +259,22 @@ impl EvalRecord {
     /// A failed evaluation.
     pub fn failed(u: Vec<f64>, e: FailedEval) -> Self {
         EvalRecord { u, value: Err(e) }
+    }
+
+    /// The record of an evaluation outcome. A non-finite total is
+    /// recorded as a failure, never as an observation, even when the
+    /// evaluator skipped screening.
+    pub(crate) fn from_outcome(u: Vec<f64>, outcome: EvalOutcome) -> Self {
+        match outcome {
+            EvalOutcome::Ok(obs) if obs.total.is_finite() => EvalRecord::ok(u, obs.total),
+            EvalOutcome::Ok(_) => EvalRecord::failed(
+                u,
+                FailedEval::from_error(&EvalError::NonFinite {
+                    what: "total".into(),
+                }),
+            ),
+            EvalOutcome::Failed(e) => EvalRecord::failed(u, FailedEval::from_error(&e)),
+        }
     }
 
     /// Did this attempt succeed?
@@ -594,10 +611,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// protection ([`GuardPolicy`]), failure-aware BO accounting
 /// ([`crate::FailurePolicy`]), and the clock everything times against.
 ///
-/// `None` in [`crate::MethodologyConfig::resilience`] keeps the legacy
-/// fail-fast behaviour; `Some(..)` switches
-/// [`crate::Methodology::execute`] to the fault-tolerant executor with
-/// per-search isolation and a failure ledger.
+/// Every plan execution runs under one ([`crate::execute_plan`]): each
+/// search is isolated and accounted for in a failure ledger. `None` in
+/// [`crate::MethodologyConfig::resilience`] still contains panics and
+/// screens non-finite outputs, but retries nothing and runs no watchdog.
 #[derive(Clone)]
 pub struct ResilienceConfig {
     /// Per-evaluation protection (panic containment, watchdog, retries).
@@ -615,6 +632,23 @@ impl Default for ResilienceConfig {
             guard: GuardPolicy::default(),
             failure: crate::bo::FailurePolicy::default(),
             clock: Arc::new(SystemClock::new()),
+        }
+    }
+}
+
+impl ResilienceConfig {
+    /// The settings of a run without resilience options: no retries, no
+    /// watchdog, default failure accounting.
+    pub(crate) fn unguarded() -> Self {
+        ResilienceConfig {
+            guard: GuardPolicy {
+                retry: RetryPolicy {
+                    max_retries: 0,
+                    ..RetryPolicy::default()
+                },
+                ..GuardPolicy::default()
+            },
+            ..ResilienceConfig::default()
         }
     }
 }

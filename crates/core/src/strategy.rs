@@ -103,7 +103,7 @@ pub fn run_strategy<O: Objective + ?Sized>(
                     target: SearchTarget::Total,
                 }]],
             };
-            let exec = execute_plan(&counted, &plan, bo_template, false)?;
+            let exec = execute_plan(&counted, &plan, bo_template, 1, None)?;
             (exec.final_config, exec.final_value)
         }
         Strategy::FullyIndependent => {
@@ -164,7 +164,8 @@ fn run_grouped<O: Objective + ?Sized>(
             stages: vec![stage],
         },
         bo_template,
-        true,
+        cets_linalg::par::global_threads(),
+        None,
     )
 }
 

@@ -9,11 +9,11 @@
 //! sequential so the clock observations attribute to the right evaluation.
 
 use cets_core::{
-    execute_plan_resilient, BoConfig, EvalError, FailurePolicy, FaultKind, FaultPlan,
-    FaultyObjective, GuardPolicy, Methodology, MethodologyConfig, Objective, PlannedSearch,
-    ResilienceConfig, ResilientObjective, RetryPolicy, SearchDisposition, SearchPlan, SearchTarget,
-    VirtualClock,
+    execute_plan, BoConfig, EvalError, FailurePolicy, FaultKind, FaultPlan, FaultyObjective,
+    GuardPolicy, Methodology, MethodologyConfig, Objective, PlannedSearch, ResilienceConfig,
+    ResilientObjective, RetryPolicy, SearchDisposition, SearchPlan, SearchTarget, VirtualClock,
 };
+use cets_linalg::ParConfig;
 use cets_space::{Config, ParamValue, SearchSpace};
 use std::sync::Arc;
 use std::time::Duration;
@@ -107,7 +107,7 @@ fn methodology_completes_under_twenty_percent_mixed_faults() {
         Methodology::new(MethodologyConfig {
             bo: quick_bo(7),
             evals_per_dim: 10,
-            parallel: false,
+            par: ParConfig::fixed(1),
             resilience,
             ..Default::default()
         })
@@ -192,12 +192,12 @@ fn region_fault_degrades_only_the_searches_inside_it() {
             },
         ]],
     };
-    let exec = execute_plan_resilient(
+    let exec = execute_plan(
         &faulty,
         &search_plan,
         &quick_bo(3),
-        false,
-        &chaos_resilience(clock),
+        1,
+        Some(&chaos_resilience(clock)),
     )
     .unwrap();
     let entry = |n: &str| exec.ledger.entries.iter().find(|e| e.search == n).unwrap();
@@ -266,12 +266,12 @@ fn chaotic_execution_is_deterministic() {
     let run = || {
         let clock = Arc::new(VirtualClock::new());
         let faulty = FaultyObjective::new(&obj, FaultPlan::flaky(0.25, 11), clock.clone());
-        execute_plan_resilient(
+        execute_plan(
             &faulty,
             &search_plan,
             &quick_bo(5),
-            false,
-            &chaos_resilience(clock),
+            1,
+            Some(&chaos_resilience(clock)),
         )
         .unwrap()
     };

@@ -319,9 +319,8 @@ proptest! {
             .unwrap(),
         );
 
-        let run = |parallel: bool, n_workers: usize| {
+        let run = |n_workers: usize| {
             let search = BoSearch::new(BoConfig {
-                parallel,
                 n_workers,
                 n_candidates,
                 n_local: 4,
@@ -330,8 +329,8 @@ proptest! {
             let mut prng = StdRng::seed_from_u64(seed.wrapping_mul(31).wrapping_add(7));
             search.propose(&sub, &gp, best, None, &mut prng).unwrap()
         };
-        let sequential = run(false, 0);
-        let parallel = run(true, workers);
+        let sequential = run(1);
+        let parallel = run(workers);
         prop_assert_eq!(sequential, parallel);
     }
 
@@ -463,7 +462,8 @@ proptest! {
         // policy and the training-set size. With an Auto threshold inside
         // the run's budget the search *switches tiers mid-run*; a resume
         // interrupted at any attempt k must re-derive the exact same
-        // decisions and continue bit-for-bit through the switch.
+        // decisions and continue bit-for-bit through the switch — for a
+        // failure-aware search and for a plain one alike.
         use cets_core::EvalOutcome;
 
         let obj = Linear::new(vec![1.0, -2.0]);
@@ -498,12 +498,22 @@ proptest! {
             .unwrap();
         prop_assert_eq!(resumed.records, full.records);
 
+        let f = |c: &Config| obj.evaluate(c).total;
+        let plain = search.run(&sub, f).unwrap();
+        // A plain search is the same loop over an evaluator that never fails.
+        prop_assert_eq!(&plain.history, &full.outcome.history);
+        let cp_plain = BoCheckpoint::from_history(seed, &plain.history[..k])
+            .with_tier(search.config.gp.tier.tag());
+        let resumed_plain = search.resume(&sub, f, &cp_plain).unwrap();
+        prop_assert_eq!(resumed_plain.history, plain.history);
+
         // A different tier policy must be rejected, not silently diverged.
         let mut other = search.clone();
         other.config.gp.tier = cets_gp::TierPolicy::Exact;
         prop_assert!(other
             .resume_resilient(&sub, |c, _| EvalOutcome::Ok(obj.evaluate(c)), &policy, &cp)
             .is_err());
+        prop_assert!(other.resume(&sub, f, &cp_plain).is_err());
     }
 
     #[test]
@@ -529,7 +539,6 @@ proptest! {
                 retrain_every: 3,
                 seed,
                 gp,
-                parallel: threads > 1,
                 n_workers: threads,
                 ..Default::default()
             };

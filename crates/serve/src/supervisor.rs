@@ -467,11 +467,6 @@ fn run_campaign_stages(
             ..BoConfig::default()
         });
 
-        let fault_plan = if spec.flaky_rate > 0.0 {
-            Some(FaultPlan::flaky(spec.flaky_rate, spec.seed))
-        } else {
-            None
-        };
         // Evaluations are timed against a virtual clock that only injected
         // faults (stalls, latency) and retry backoffs advance: a stall
         // fault trips the watchdog instantly in real time, and the
@@ -534,30 +529,22 @@ fn run_campaign_stages(
             }
         };
 
-        let prior = campaign.stages[s].clone();
-        let run = match fault_plan {
-            Some(plan) => {
-                let faulty = FaultyObjective::new(&objective, plan, eval_clock.clone());
-                let guarded = ResilientObjective::new(&faulty, guard, eval_clock.clone());
-                bo.run_resilient_observed(
-                    &sub,
-                    |cfg, i| guarded.evaluate_outcome(cfg, i),
-                    &policy,
-                    prior,
-                    &mut on_record,
-                )
-            }
-            None => {
-                let guarded = ResilientObjective::new(&objective, guard, eval_clock.clone());
-                bo.run_resilient_observed(
-                    &sub,
-                    |cfg, i| guarded.evaluate_outcome(cfg, i),
-                    &policy,
-                    prior,
-                    &mut on_record,
-                )
-            }
+        let faulty;
+        let target: &dyn Objective = if spec.flaky_rate > 0.0 {
+            let plan = FaultPlan::flaky(spec.flaky_rate, spec.seed);
+            faulty = FaultyObjective::new(&objective, plan, eval_clock.clone());
+            &faulty
+        } else {
+            &objective
         };
+        let guarded = ResilientObjective::new(target, guard, eval_clock);
+        let run = bo.run_resilient_observed(
+            &sub,
+            |cfg, i| guarded.evaluate_outcome(cfg, i),
+            &policy,
+            campaign.stages[s].clone(),
+            &mut on_record,
+        );
 
         let outcome = match run {
             Ok(outcome) => outcome,

@@ -44,7 +44,6 @@ fn main() {
             ..Default::default()
         },
         evals_per_dim: 10,
-        parallel: true,
         ..Default::default()
     });
 

@@ -119,9 +119,10 @@ fn usage() {
     eprintln!("                       any thread count — only wall-clock time changes");
     eprintln!("  --report <path>      also write the markdown report to a file");
     eprintln!("  --db <path>          (tddft) save the evaluation database as JSON");
-    eprintln!("  --resilient          run execution under the fault-tolerant layer:");
-    eprintln!("                       panics are contained, non-finite results screened,");
-    eprintln!("                       and the report gains a per-search failure ledger");
+    eprintln!("  --resilient          also retry transient failures with backoff. Every");
+    eprintln!("                       run contains panics, screens non-finite results,");
+    eprintln!("                       isolates failed searches and reports a per-search");
+    eprintln!("                       failure ledger");
     eprintln!("  --inject-flaky <p>   (synthetic) deterministically inject faults (panics,");
     eprintln!("                       NaNs) into a fraction p of evaluations; implies");
     eprintln!("                       --resilient — a demo of graceful degradation");

@@ -27,7 +27,6 @@ fn tddft_methodology(seed: u64, evals_per_dim: usize) -> Methodology {
         shared_params: TddftSimulator::shared_params(),
         bo: quick_bo(seed),
         evals_per_dim,
-        parallel: true,
         ..Default::default()
     })
 }

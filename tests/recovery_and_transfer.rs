@@ -18,9 +18,9 @@ fn quick_bo(seed: u64, max_evals: usize) -> BoConfig {
     }
 }
 
-/// An interrupted search resumed from its checkpoint reaches a result at
-/// least as good as its incumbent at interruption, with the correct total
-/// evaluation count.
+/// An interrupted search resumed from its checkpoint continues the
+/// interrupted trajectory bit for bit: the resumed 30-evaluation history
+/// is exactly the history of an uninterrupted 30-evaluation run.
 #[test]
 fn checkpoint_resume_continues_search() {
     let f = SyntheticFunction::new(SyntheticCase::Case2).with_noise(0.0);
@@ -35,6 +35,7 @@ fn checkpoint_resume_continues_search() {
         .unwrap();
     let ckpt = BoCheckpoint::load(&path).unwrap();
     assert_eq!(ckpt.n_evals(), 12);
+    assert_eq!(ckpt.history(), partial.history);
 
     // Phase 2: resume to 30 total.
     let resumed = BoSearch::new(quick_bo(21, 30))
@@ -42,10 +43,18 @@ fn checkpoint_resume_continues_search() {
         .unwrap();
     assert_eq!(resumed.n_evals, 30);
     assert!(resumed.best_value <= partial.best_value);
-    // The first 12 history entries are identical to the pre-crash run.
-    for (a, b) in resumed.history[..12].iter().zip(&partial.history) {
-        assert_eq!(a, b);
-    }
+
+    // The reference: the same search, never interrupted.
+    let uninterrupted = BoSearch::new(quick_bo(21, 30))
+        .run(&sub, |c| f.evaluate(c).total)
+        .unwrap();
+    let bits = |h: &[(Vec<f64>, f64)]| -> Vec<(Vec<u64>, u64)> {
+        h.iter()
+            .map(|(u, y)| (u.iter().map(|v| v.to_bits()).collect(), y.to_bits()))
+            .collect()
+    };
+    assert_eq!(bits(&resumed.history), bits(&uninterrupted.history));
+    assert_eq!(resumed.best_config, uninterrupted.best_config);
     std::fs::remove_file(&path).ok();
 }
 
