@@ -46,7 +46,8 @@ fn main() {
                     budget,
                 }]],
             };
-            let exec = execute_plan(&f, &plan, &paper_bo(700 + rep as u64), 1, None).expect("run");
+            let exec =
+                execute_plan(&f, &plan, &paper_bo(700 + rep as u64), 1, None, false).expect("run");
             minima.push(exec.final_value);
         }
         let (m, s) = mean_std(&minima);
@@ -86,7 +87,7 @@ fn main() {
             };
             let mut bo = paper_bo(800 + rep as u64);
             bo.acquisition = acq;
-            let exec = execute_plan(&f, &plan, &bo, 1, None).expect("run");
+            let exec = execute_plan(&f, &plan, &bo, 1, None, false).expect("run");
             minima.push(exec.final_value);
         }
         let (m, s) = mean_std(&minima);

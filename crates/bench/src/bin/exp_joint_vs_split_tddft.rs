@@ -57,7 +57,8 @@ fn main() {
                     budget: joint_budget,
                 }]],
             };
-            let je = execute_plan(&sim, &joint_plan, &paper_bo(seed), 1, None).expect("joint");
+            let je =
+                execute_plan(&sim, &joint_plan, &paper_bo(seed), 1, None, false).expect("joint");
 
             // Independent: G2 with N=30, G3 with N=100, in parallel.
             let split_plan = SearchPlan {
@@ -84,6 +85,7 @@ fn main() {
                 &paper_bo(seed),
                 par::global_threads(),
                 None,
+                false,
             )
             .expect("split");
 

@@ -126,7 +126,7 @@ fn dataset(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
     (xs, ys)
 }
 
-/// Time `Gp::train` (multi-start Nelder–Mead over the LML) at size `n`,
+/// Time `Gp::train` (multi-start L-BFGS over the LML) at size `n`,
 /// pinned to a `threads`-worker budget.
 fn bench_gp_train(id: &'static str, n: usize, reps: usize, threads: usize) -> BenchResult<Measure> {
     let (xs, ys) = dataset(n, 0xC0FFEE ^ n as u64);
@@ -135,21 +135,22 @@ fn bench_gp_train(id: &'static str, n: usize, reps: usize, threads: usize) -> Be
         ..GpConfig::default()
     };
     let mut samples = Vec::with_capacity(reps);
+    let mut lml_evals = 0;
     for _ in 0..reps {
         let t = Instant::now();
         let gp = Gp::train(&xs, &ys, &cfg).map_err(|e| format!("{id}: gp train: {e}"))?;
         samples.push(t.elapsed().as_secs_f64() * 1e3);
         assert!(gp.lml().is_finite());
+        // Training is deterministic, so every repetition runs the same
+        // number of likelihood evaluations.
+        lml_evals = gp.train_evals();
     }
     let med = median_ms(&mut samples);
-    // Upper-bound estimate of LML evaluations per second: Nelder–Mead may
-    // converge before exhausting its budget, so the true rate is >= this.
-    let lml_evals = (cfg.n_restarts.max(1) * cfg.nm.max_evals) as f64;
     Ok(Measure {
         id,
         median_ms: med,
-        evals_per_sec: lml_evals / (med / 1e3),
-        eval_unit: "lml_evals (budget upper bound)",
+        evals_per_sec: lml_evals as f64 / (med / 1e3),
+        eval_unit: "lml_evals",
         reps,
         threads_used: threads,
         extra: Vec::new(),
@@ -298,7 +299,10 @@ fn bench_propose(id: &'static str, n: usize, reps: usize) -> BenchResult<Measure
     })
 }
 
-/// Time `Surrogate::train` with the sparse (SGPR) tier forced at size `n`.
+/// Time sparse-tier (SGPR) training at size `n` — the work
+/// `Surrogate::train` runs with the tier forced to sparse, called through
+/// `SparseGp::train_traced`, whose trace has one entry per ELBO
+/// evaluation.
 ///
 /// When `exact_ref = Some((n0, ms0))` — the measured `Gp::train` cost at a
 /// size the exact tier can still afford — the entry also records
@@ -319,14 +323,16 @@ fn bench_sparse_train(
         ..GpConfig::default()
     };
     let mut samples = Vec::with_capacity(reps);
+    let mut elbo_evals = 0;
     for _ in 0..reps {
         let t = Instant::now();
-        let s = Surrogate::train(&xs, &ys, &cfg).map_err(|e| format!("{id}: sparse train: {e}"))?;
+        let (s, trace) = SparseGp::train_traced(&xs, &ys, &cfg)
+            .map_err(|e| format!("{id}: sparse train: {e}"))?;
         samples.push(t.elapsed().as_secs_f64() * 1e3);
-        assert!(s.evidence().is_finite());
+        assert!(s.elbo().is_finite());
+        elbo_evals = trace.len();
     }
     let med = median_ms(&mut samples);
-    let elbo_evals = (cfg.sparse.n_restarts.max(1) * cfg.sparse.nm.max_evals) as f64;
     let mut extra = vec![(
         "m_inducing",
         Value::Int(cfg.sparse.m_inducing.min(n) as i64),
@@ -342,8 +348,8 @@ fn bench_sparse_train(
     Ok(Measure {
         id,
         median_ms: med,
-        evals_per_sec: elbo_evals / (med / 1e3),
-        eval_unit: "elbo_evals (budget upper bound)",
+        evals_per_sec: elbo_evals as f64 / (med / 1e3),
+        eval_unit: "elbo_evals",
         reps,
         threads_used: threads,
         extra,

@@ -202,8 +202,8 @@ pub fn dropout_bo<O: Objective + ?Sized>(
         // GP over the selected coordinates of the full history. The
         // dimension subset changes every iteration, so hyperparameters
         // cannot be cached across iterations (an inherent cost of the
-        // dropout strategy); a reduced Nelder-Mead budget keeps the
-        // comparison tractable.
+        // dropout strategy); a single restart keeps the comparison
+        // tractable.
         let xs: Vec<Vec<f64>> = history
             .iter()
             .map(|(u, _)| dims.iter().map(|&j| u[j]).collect())
@@ -212,7 +212,6 @@ pub fn dropout_bo<O: Objective + ?Sized>(
         let mut gp_cfg = bo.gp.clone();
         gp_cfg.seed = bo.seed.wrapping_add(history.len() as u64);
         gp_cfg.n_restarts = 1;
-        gp_cfg.nm.max_evals = gp_cfg.nm.max_evals.min(120);
         let gp = Gp::train(&xs, &ys, &gp_cfg)?;
         let best = ys.iter().cloned().fold(f64::INFINITY, f64::min);
 

@@ -228,9 +228,10 @@ pub struct PlanExecution {
     pub wall_time: Duration,
     /// Every evaluation performed, tagged by search name — the task's
     /// configuration database (persist with [`Database::save`], reuse for
-    /// transfer learning via [`Database::to_transfer_seed`]). Record order
-    /// within a parallel stage is nondeterministic; contents are not.
-    pub database: Database,
+    /// transfer learning via [`Database::to_transfer_seed`]) — when the run
+    /// asked to keep it ([`MethodologyConfig::record_database`]). Record
+    /// order within a parallel stage is nondeterministic; contents are not.
+    pub database: Option<Database>,
     /// Per-search failure accounting: one entry per search plus the
     /// closing verification evaluation.
     pub ledger: ExecutionLedger,
@@ -286,6 +287,12 @@ pub struct MethodologyConfig {
     /// valid candidates for the BO rejection sampler. A box proved empty
     /// is rejected with [`CoreError::Lint`] before any budget is spent.
     pub contract_bounds: bool,
+    /// Keep every evaluation in [`PlanExecution::database`]. Off by
+    /// default: the records repeat each search's history with full
+    /// configurations and per-routine values, which is most of a finished
+    /// execution's memory, and only a caller that persists or transfers
+    /// them reads them.
+    pub record_database: bool,
 }
 
 impl Default for MethodologyConfig {
@@ -302,6 +309,7 @@ impl Default for MethodologyConfig {
             lint: LintPolicy::default(),
             resilience: None,
             contract_bounds: false,
+            record_database: false,
         }
     }
 }
@@ -634,6 +642,7 @@ impl Methodology {
             &self.config.bo,
             self.config.par.resolve(),
             self.config.resilience.as_ref(),
+            self.config.record_database,
         )
     }
 
@@ -723,12 +732,17 @@ fn stage_budget(bo_template: &BoConfig, workers: usize, n_searches: usize) -> (u
 /// configuration to report — or when the folded configuration violates a
 /// cross-search constraint (the result would be wrong, not merely
 /// partial).
+///
+/// Every evaluation is recorded in a [`Database`]: a failed final
+/// verification falls back to its best entry. The result keeps it in
+/// [`PlanExecution::database`] only with `record_database`.
 pub fn execute_plan<O: Objective + ?Sized>(
     objective: &O,
     plan: &SearchPlan,
     bo_template: &BoConfig,
     workers: usize,
     resilience: Option<&ResilienceConfig>,
+    record_database: bool,
 ) -> Result<PlanExecution> {
     let unguarded = ResilienceConfig::unguarded();
     let resilience = resilience.unwrap_or(&unguarded);
@@ -921,7 +935,7 @@ pub fn execute_plan<O: Objective + ?Sized>(
         final_config,
         final_value,
         wall_time: start.elapsed(),
-        database,
+        database: record_database.then_some(database),
         ledger,
     })
 }
@@ -1087,23 +1101,31 @@ mod tests {
         let m = Methodology::new(MethodologyConfig {
             bo: quick_bo(),
             evals_per_dim: 5,
+            record_database: true,
             ..Default::default()
         });
         let (report, exec) = m.run(&obj, &owners3(), &obj.default_config()).unwrap();
+        let database = exec.database.as_ref().unwrap();
         // One record per search evaluation plus the final verification.
-        assert_eq!(exec.database.len(), exec.total_evals + 1);
+        assert_eq!(database.len(), exec.total_evals + 1);
         // Tags cover every search name plus "final".
         for s in report.plan.searches() {
             assert!(
-                exec.database.with_tag(&s.name).count() > 0,
+                database.with_tag(&s.name).count() > 0,
                 "no records tagged {}",
                 s.name
             );
         }
-        assert_eq!(exec.database.with_tag("final").count(), 1);
+        assert_eq!(database.with_tag("final").count(), 1);
         // The database's best total is <= the final value (the final fold
         // can combine searches but each search's best was recorded).
-        assert!(exec.database.best().unwrap().total <= exec.final_value + 1e-9);
+        assert!(database.best().unwrap().total <= exec.final_value + 1e-9);
+        // Without the flag the execution keeps no records.
+        let m = Methodology::new(MethodologyConfig {
+            record_database: false,
+            ..m.config
+        });
+        assert!(m.execute(&obj, &report).unwrap().database.is_none());
     }
 
     #[test]
@@ -1176,7 +1198,7 @@ mod tests {
                 },
             ]],
         };
-        let err = execute_plan(&obj, &plan, &quick_bo(), 2, None).unwrap_err();
+        let err = execute_plan(&obj, &plan, &quick_bo(), 2, None, false).unwrap_err();
         assert!(
             matches!(err, CoreError::SearchStalled(_)),
             "expected SearchStalled, got {err}"
@@ -1314,6 +1336,7 @@ mod tests {
                     &quick_bo(),
                     workers,
                     Some(&quick_resilience()),
+                    false,
                 )
                 .unwrap();
                 assert_eq!(exec.ledger.n_degraded(), 1, "ledger: {:?}", exec.ledger);
@@ -1336,12 +1359,33 @@ mod tests {
                 assert_eq!(by_name("r1").n_ok, 0);
                 // The degraded search's parameter stays at its default.
                 assert_eq!(exec.final_config[2].as_f64(), 1.0);
-                // The completed search still improved r0 = x0² + x1².
-                let r0 =
-                    exec.final_config[0].as_f64().powi(2) + exec.final_config[1].as_f64().powi(2);
-                assert!(r0 < 2.0, "r0 {r0} not improved over default 2.0");
                 assert_eq!(exec.searches.len(), 1);
             }
+            // The completed search still does useful work: it takes
+            // r0 = x0² + x1² below the default's 2.0. Twelve evaluations
+            // around a crashing incumbent leave any single seed to chance,
+            // so the claim is a rate over seeds 0–39, held to the 28 of 40
+            // the search reached when the exact GP trained by Nelder–Mead.
+            let improved = (0..40u64)
+                .filter(|&seed| {
+                    let bo = BoConfig { seed, ..quick_bo() };
+                    let exec = execute_plan(
+                        &obj,
+                        &two_search_plan(),
+                        &bo,
+                        1,
+                        Some(&quick_resilience()),
+                        false,
+                    )
+                    .unwrap();
+                    let (x0, x1) = (exec.final_config[0].as_f64(), exec.final_config[1].as_f64());
+                    x0 * x0 + x1 * x1 < 2.0
+                })
+                .count();
+            assert!(
+                improved >= 28,
+                "r0 improved over the default on {improved} of 40 seeds"
+            );
         }
 
         /// The folded configuration moves both axes at once, which the
@@ -1371,11 +1415,11 @@ mod tests {
                 ]],
             };
             let exec =
-                execute_plan(&obj, &plan, &quick_bo(), 1, Some(&quick_resilience())).unwrap();
+                execute_plan(&obj, &plan, &quick_bo(), 1, Some(&quick_resilience()), true).unwrap();
             let last = exec.ledger.entries.last().unwrap();
             assert_eq!(last.search, "final");
             assert!(matches!(last.disposition, SearchDisposition::Degraded(_)));
-            let best = exec.database.best().unwrap();
+            let best = exec.database.as_ref().unwrap().best().unwrap();
             assert_eq!(exec.final_value, best.total);
             assert_eq!(exec.final_config, best.config);
         }
@@ -1393,6 +1437,7 @@ mod tests {
                 &quick_bo(),
                 1,
                 Some(&quick_resilience()),
+                false,
             )
             .unwrap_err();
             assert!(
@@ -1722,6 +1767,6 @@ mod tests {
                 budget: 5,
             }]],
         };
-        assert!(execute_plan(&obj, &plan, &quick_bo(), 1, None).is_err());
+        assert!(execute_plan(&obj, &plan, &quick_bo(), 1, None, false).is_err());
     }
 }

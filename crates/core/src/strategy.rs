@@ -103,7 +103,7 @@ pub fn run_strategy<O: Objective + ?Sized>(
                     target: SearchTarget::Total,
                 }]],
             };
-            let exec = execute_plan(&counted, &plan, bo_template, 1, None)?;
+            let exec = execute_plan(&counted, &plan, bo_template, 1, None, false)?;
             (exec.final_config, exec.final_value)
         }
         Strategy::FullyIndependent => {
@@ -166,6 +166,7 @@ fn run_grouped<O: Objective + ?Sized>(
         bo_template,
         cets_linalg::par::global_threads(),
         None,
+        false,
     )
 }
 

@@ -109,6 +109,7 @@ fn methodology_completes_under_twenty_percent_mixed_faults() {
             evals_per_dim: 10,
             par: ParConfig::fixed(1),
             resilience,
+            record_database: true,
             ..Default::default()
         })
     };
@@ -152,6 +153,8 @@ fn methodology_completes_under_twenty_percent_mixed_faults() {
     // Every database record survived the screening: all finite.
     assert!(chaotic
         .database
+        .as_ref()
+        .unwrap()
         .training_data(&obj)
         .1
         .iter()
@@ -172,8 +175,6 @@ fn region_fault_degrades_only_the_searches_inside_it() {
         region: Some((region, FaultKind::Panic)),
         ..Default::default()
     };
-    let clock = Arc::new(VirtualClock::new());
-    let faulty = FaultyObjective::new(&obj, plan, clock.clone());
     let search_plan = SearchPlan {
         stages: vec![vec![
             PlannedSearch {
@@ -192,14 +193,20 @@ fn region_fault_degrades_only_the_searches_inside_it() {
             },
         ]],
     };
-    let exec = execute_plan(
-        &faulty,
-        &search_plan,
-        &quick_bo(3),
-        1,
-        Some(&chaos_resilience(clock)),
-    )
-    .unwrap();
+    let run = |seed: u64| {
+        let clock = Arc::new(VirtualClock::new());
+        let faulty = FaultyObjective::new(&obj, plan.clone(), clock.clone());
+        execute_plan(
+            &faulty,
+            &search_plan,
+            &quick_bo(seed),
+            1,
+            Some(&chaos_resilience(clock)),
+            false,
+        )
+        .unwrap()
+    };
+    let exec = run(3);
     let entry = |n: &str| exec.ledger.entries.iter().find(|e| e.search == n).unwrap();
     assert!(matches!(
         entry("r0").disposition,
@@ -209,9 +216,23 @@ fn region_fault_degrades_only_the_searches_inside_it() {
         entry("r1").disposition,
         SearchDisposition::Degraded(_)
     ));
-    // The degraded parameter is untouched; the completed search tuned.
+    // The degraded parameter is untouched.
     assert_eq!(exec.final_config[2].as_f64(), 1.0);
-    assert!(exec.final_config[0].as_f64().powi(2) + exec.final_config[1].as_f64().powi(2) < 2.0);
+    // The completed search tuned: r0 = x0² + x1² ends below the default's
+    // 2.0. Twelve evaluations around a crashing incumbent leave any single
+    // seed to chance, so the claim is a rate over seeds 0–39, held to the
+    // 28 of 40 the search reached when the exact GP trained by
+    // Nelder–Mead.
+    let improved = (0..40u64)
+        .filter(|&seed| {
+            let c = run(seed).final_config;
+            c[0].as_f64().powi(2) + c[1].as_f64().powi(2) < 2.0
+        })
+        .count();
+    assert!(
+        improved >= 28,
+        "r0 improved over the default on {improved} of 40 seeds"
+    );
 }
 
 /// An injected stall trips the watchdog and is classified as a timeout —
@@ -272,6 +293,7 @@ fn chaotic_execution_is_deterministic() {
             &quick_bo(5),
             1,
             Some(&chaos_resilience(clock)),
+            false,
         )
         .unwrap()
     };

@@ -1,7 +1,7 @@
 //! Exact Gaussian-process regression with maximum-likelihood training.
 
-use crate::kernel::{Kernel, KernelKind};
-use crate::optimize::{nelder_mead, NelderMeadOptions};
+use crate::kernel::{Kernel, KernelKind, LOG_PARAM_RANGE};
+use crate::optimize::{lbfgs, LbfgsOptions};
 use crate::{GpError, Result};
 use cets_linalg::{par, Cholesky, Matrix, ParConfig};
 use rand::rngs::StdRng;
@@ -23,8 +23,6 @@ pub struct GpConfig {
     pub noise_floor: f64,
     /// Also optimize the noise variance (otherwise it stays at the floor).
     pub optimize_noise: bool,
-    /// Inner Nelder–Mead options.
-    pub nm: NelderMeadOptions,
     /// Surrogate tier policy consulted by [`crate::Surrogate::train`]:
     /// exact GP below a training-set-size threshold, sparse (SGPR) at or
     /// above it, or an explicit override. Direct [`Gp::train`] calls
@@ -34,8 +32,8 @@ pub struct GpConfig {
     /// sparse surrogate.
     pub sparse: crate::SparseOptions,
     /// Worker budget for training. The budget is split across the two
-    /// parallel levels — Nelder–Mead restarts on the outside, kernel
-    /// builds and Cholesky panels on the inside — and every split
+    /// parallel levels — L-BFGS restarts on the outside, kernel builds
+    /// and Cholesky panels on the inside — and every split
     /// produces bit-identical hyperparameters (fixed partitioning,
     /// fixed-order winner selection).
     pub par: ParConfig,
@@ -49,7 +47,6 @@ impl Default for GpConfig {
             seed: 0,
             noise_floor: 1e-6,
             optimize_noise: true,
-            nm: NelderMeadOptions::default(),
             tier: crate::TierPolicy::default(),
             sparse: crate::SparseOptions::default(),
             par: ParConfig::default(),
@@ -83,6 +80,7 @@ pub struct Gp {
     y_mean: f64,
     y_std: f64,
     lml: f64,
+    train_evals: usize,
 }
 
 impl Gp {
@@ -125,11 +123,18 @@ impl Gp {
             y_mean,
             y_std,
             lml,
+            train_evals: 0,
         })
     }
 
     /// Train with maximum-likelihood hyperparameters: multi-start
-    /// Nelder–Mead over `[ln σ², ln ℓ₁.., ln ℓ_d, (ln σ_n²)]`.
+    /// box-projected L-BFGS on the analytic gradient of the negative log
+    /// marginal likelihood over `θ = [ln σ², ln ℓ₁.., ln ℓ_d, (ln σ_n²)]`.
+    ///
+    /// The box is `[−8, 8]` on the kernel log-parameters and
+    /// `[max(ln noise_floor, −27), 3]` on the noise, the ranges
+    /// [`Kernel::from_log_params`] and the noise floor allow.
+    /// [`Gp::train_evals`] reports the likelihood evaluations spent.
     pub fn train(x: &[Vec<f64>], y: &[f64], cfg: &GpConfig) -> Result<Self> {
         let n = x.len();
         if n == 0 || y.len() != n {
@@ -146,12 +151,10 @@ impl Gp {
 
         let (y_mean, y_std) = standardization(y);
         let ys: Vec<f64> = y.iter().map(|&v| (v - y_mean) / y_std).collect();
-        let opt_noise = cfg.optimize_noise;
-        let floor = cfg.noise_floor.max(1e-12);
 
-        // The worker budget splits across two levels: independent
-        // Nelder–Mead restarts on the outside (near-perfect scaling) and
-        // the per-evaluation kernel build / Cholesky inside each restart
+        // The worker budget splits across two levels: independent L-BFGS
+        // restarts on the outside (near-perfect scaling) and the
+        // per-evaluation kernel build / Cholesky inside each restart
         // taking whatever is left over.
         let threads = cfg.par.resolve();
         let starts = cfg.n_restarts.max(1);
@@ -160,47 +163,49 @@ impl Gp {
 
         // The per-dimension pairwise squared differences do not depend on
         // the hyperparameters, so they are computed once here and shared
-        // by every likelihood evaluation of every Nelder–Mead restart —
-        // each evaluation then builds the kernel matrix with one fused
+        // by every likelihood evaluation of every restart — each
+        // evaluation then builds the kernel matrix with one fused
         // multiply-add pass over the tensor instead of recomputing all
         // O(n²d) distances through the generic kernel entry point.
-        let tensor = PairTensor::new_with(x, threads);
+        let floor = cfg.noise_floor.max(1e-12);
+        let problem = NegLml {
+            tensor: PairTensor::new_with(x, threads),
+            ys,
+            kind: cfg.kernel,
+            optimize_noise: cfg.optimize_noise,
+            noise_floor: floor,
+        };
+        let bounds = problem.bounds(d);
 
-        // One restart: Nelder–Mead from `p0` over the negative LML of the
-        // standardized targets, with its own factorization scratch so
-        // restarts can run concurrently.
-        let run_start = |p0: &[f64]| -> (Vec<f64>, f64) {
-            let scratch = std::cell::RefCell::new(LmlScratch {
-                k: Matrix::zeros(n, n),
-                r2: vec![0.0; tensor.n_pairs()],
-            });
-            let neg_lml = |p: &[f64]| -> f64 {
-                let (kp, noise) = if opt_noise {
-                    let (kp, np_) = p.split_at(p.len() - 1);
-                    (kp, np_[0].clamp(-27.0, 3.0).exp().max(floor))
-                } else {
-                    (p, floor)
-                };
-                let kernel = Kernel::from_log_params(cfg.kernel, kp);
-                let mut s = scratch.borrow_mut();
-                match lml_cached(&tensor, &ys, &kernel, noise, &mut s, iw) {
-                    Some(v) => -v,
-                    None => f64::INFINITY,
-                }
-            };
-            nelder_mead(neg_lml, p0, &cfg.nm)
+        // One restart: L-BFGS from `p0` with its own scratch so restarts
+        // can run concurrently; returns the evaluations it spent too.
+        let run_start = |p0: &[f64]| -> (Vec<f64>, f64, usize) {
+            let mut scratch = LmlScratch::new(n);
+            let mut evals = 0;
+            let (p, f) = lbfgs(
+                |p, grad| {
+                    evals += 1;
+                    problem
+                        .value_grad(p, grad, &mut scratch, iw)
+                        .unwrap_or(f64::INFINITY)
+                },
+                p0,
+                &bounds,
+                &LbfgsOptions::default(),
+            );
+            (p, f, evals)
         };
 
         // Start points are pre-drawn from the single RNG stream in restart
-        // order (Nelder–Mead itself consumes no randomness), so the draws
-        // are identical to the sequential loop's; the winner fold below
-        // walks restarts in the same ascending order with the same strict
+        // order (L-BFGS itself consumes no randomness), so the draws are
+        // identical to the sequential loop's; the winner fold below walks
+        // restarts in the same ascending order with the same strict
         // comparison, making the result bit-identical at any worker count.
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let p0s: Vec<Vec<f64>> = (0..starts)
             .map(|s| {
                 let mut p0 = Kernel::new(cfg.kernel, d).to_log_params();
-                if opt_noise {
+                if cfg.optimize_noise {
                     p0.push((1e-3_f64).ln());
                 }
                 if s > 0 {
@@ -212,7 +217,9 @@ impl Gp {
             })
             .collect();
         let mut best: Option<(Vec<f64>, f64)> = None;
-        for (p, f) in par::map_indexed(ow, starts, |s| run_start(&p0s[s])) {
+        let mut train_evals = 0;
+        for (p, f, evals) in par::map_indexed(ow, starts, |s| run_start(&p0s[s])) {
+            train_evals += evals;
             if f.is_finite() && best.as_ref().is_none_or(|(_, bf)| f < *bf) {
                 best = Some((p, f));
             }
@@ -220,14 +227,10 @@ impl Gp {
         let (p, _) = best.ok_or_else(|| {
             GpError::TrainingFailed("no restart produced a finite likelihood".into())
         })?;
-        let (kp, noise) = if opt_noise {
-            let (kp, np_) = p.split_at(p.len() - 1);
-            (kp, np_[0].clamp(-27.0, 3.0).exp().max(floor))
-        } else {
-            (p.as_slice(), floor)
-        };
-        let kernel = Kernel::from_log_params(cfg.kernel, kp);
-        Self::fit(x, y, kernel, noise)
+        let (kernel, noise) = hyperparameters(cfg.kernel, &p, cfg.optimize_noise, floor);
+        let mut gp = Self::fit(x, y, kernel, noise)?;
+        gp.train_evals = train_evals;
+        Ok(gp)
     }
 
     /// Predictive mean and variance (original units) at `x_star`.
@@ -363,6 +366,13 @@ impl Gp {
     /// Number of training points.
     pub fn n_train(&self) -> usize {
         self.x.len()
+    }
+
+    /// Likelihood (value-and-gradient) evaluations [`Gp::train`] ran,
+    /// summed over its restarts; 0 for a [`Gp::fit`] model. An exact work
+    /// count: each evaluation is one `O(n³)` factorization plus inverse.
+    pub fn train_evals(&self) -> usize {
+        self.train_evals
     }
 
     /// Spectral condition number of the (noise-augmented) kernel matrix —
@@ -660,74 +670,193 @@ impl PairTensor {
     }
 }
 
-/// Reusable buffers for [`lml_cached`]: the kernel matrix and the packed
-/// pairwise `r²` vector survive across likelihood evaluations, so the hot
-/// loop performs no allocations besides the Cholesky factor itself.
-struct LmlScratch {
-    k: Matrix,
-    r2: Vec<f64>,
+/// Range of the log noise variance `ln σ_n²` (before the noise floor).
+const LOG_NOISE_RANGE: (f64, f64) = (-27.0, 3.0);
+
+/// Kernel and noise variance at `θ = [ln σ², ln ℓ₁.., ln ℓ_d, (ln σ_n²)]`,
+/// the parameter vector both tiers train: the kernel log-parameters are
+/// clamped by [`Kernel::from_log_params`], the log noise to
+/// [`LOG_NOISE_RANGE`] and then to `floor`. Without `optimize_noise`, `θ`
+/// holds no noise coordinate and the noise stays at the floor.
+pub(crate) fn hyperparameters(
+    kind: KernelKind,
+    p: &[f64],
+    optimize_noise: bool,
+    floor: f64,
+) -> (Kernel, f64) {
+    if optimize_noise {
+        let (kp, np_) = p.split_at(p.len() - 1);
+        let (lo, hi) = LOG_NOISE_RANGE;
+        (
+            Kernel::from_log_params(kind, kp),
+            np_[0].clamp(lo, hi).exp().max(floor),
+        )
+    } else {
+        (Kernel::from_log_params(kind, p), floor)
+    }
 }
 
-/// Log marginal likelihood with the kernel matrix rebuilt from the cached
-/// distance tensor (one weighted reduction + one profile pass) instead of
-/// O(n²d) fresh distance computations, using up to `workers` threads for
-/// the rebuild and the factorization.
-///
-/// Only the lower triangle and diagonal are written: both Cholesky
-/// kernels read nothing above the diagonal, so mirroring would be pure
-/// overhead. Row `i`'s pairs are contiguous in the packed `r²` vector
-/// (base `i(i−1)/2`), so rows partition cleanly across workers and every
-/// entry is one independent profile evaluation — any row partition is
-/// bit-identical.
-fn lml_cached(
-    tensor: &PairTensor,
-    ys: &[f64],
-    kernel: &Kernel,
-    noise: f64,
-    scratch: &mut LmlScratch,
-    workers: usize,
-) -> Option<f64> {
-    let n = tensor.n;
-    tensor.weighted_r2_with(&kernel.inv_sq_lengthscales(), &mut scratch.r2, workers);
-    let k = &mut scratch.k;
-    let diag = kernel.diag_value() + noise;
-    let r2 = &scratch.r2;
-    let fill_rows = |krows: &mut [f64], lo: usize, hi: usize| {
-        for i in lo..hi {
-            let base = i * i.saturating_sub(1) / 2;
-            let row = &mut krows[(i - lo) * n..(i - lo) * n + i + 1];
-            for (rj, &t) in row[..i].iter_mut().zip(&r2[base..base + i]) {
-                *rj = kernel.eval_r2(t);
-            }
-            row[i] = diag;
+/// The training objective of [`Gp::train`]: the negative log marginal
+/// likelihood of the standardized targets `ys` as a function of
+/// `θ = [ln σ², ln ℓ₁.., ln ℓ_d, (ln σ_n²)]`, with its analytic gradient
+/// (Rasmussen & Williams 2006, eq. 5.9).
+struct NegLml {
+    tensor: PairTensor,
+    ys: Vec<f64>,
+    kind: KernelKind,
+    /// Whether `ln σ_n²` is the last coordinate of `θ`; otherwise the
+    /// noise variance stays at the floor.
+    optimize_noise: bool,
+    noise_floor: f64,
+}
+
+/// Reusable buffers for [`NegLml::value_grad`]: the kernel matrix, its
+/// inverse and the packed pairwise vector survive across likelihood
+/// evaluations, so the hot loop allocates nothing besides the Cholesky
+/// factor itself.
+struct LmlScratch {
+    k: Matrix,
+    k_inv: Matrix,
+    /// Per pair: `r²`, then `∂K_ij/∂r² = σ² g′(r²)`, then that slope
+    /// weighted by `W_ij`.
+    pairs: Vec<f64>,
+}
+
+impl LmlScratch {
+    fn new(n: usize) -> Self {
+        LmlScratch {
+            k: Matrix::zeros(n, n),
+            k_inv: Matrix::zeros(n, n),
+            pairs: vec![0.0; n * n.saturating_sub(1) / 2],
         }
-    };
-    let w = if n * n < 4096 {
-        1
-    } else {
-        workers.max(1).min(n)
-    };
-    if w <= 1 {
-        fill_rows(k.as_mut_slice(), 0, n);
-    } else {
-        // Row i costs i + 1 evaluations, so triangular ranges balance
-        // the profile work; chunks are whole rows, hence disjoint.
-        let mut rest: &mut [f64] = k.as_mut_slice();
-        std::thread::scope(|scope| {
-            for r in par::triangular_ranges(n, w) {
-                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(r.len() * n);
-                rest = tail;
-                let fill_rows = &fill_rows;
-                scope.spawn(move || fill_rows(chunk, r.start, r.end));
-            }
-        });
     }
-    let chol = Cholesky::new_jittered_with(k, workers).ok()?;
-    let alpha = chol.solve_vec(ys);
-    let data_fit: f64 = ys.iter().zip(&alpha).map(|(&a, &b)| a * b).sum();
-    Some(
-        -0.5 * data_fit - 0.5 * chol.log_det() - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln(),
-    )
+}
+
+impl NegLml {
+    /// The box L-BFGS searches: [`LOG_PARAM_RANGE`] on every kernel
+    /// log-parameter and `[max(ln floor, −27), 3]` on the log noise, so
+    /// the clamps of [`hyperparameters`] never bind inside it.
+    fn bounds(&self, d: usize) -> Vec<(f64, f64)> {
+        let mut b = vec![LOG_PARAM_RANGE; d + 1];
+        if self.optimize_noise {
+            let lo = self.noise_floor.ln().max(LOG_NOISE_RANGE.0);
+            b.push((lo, lo.max(LOG_NOISE_RANGE.1)));
+        }
+        b
+    }
+
+    /// `−LML(θ)`, writing `∂(−LML)/∂θ` into `grad` (same length as `p`);
+    /// `None` when the kernel matrix does not factorize even with jitter.
+    ///
+    /// With `α = K⁻¹y` and `W = ααᵀ − K⁻¹`, every partial is
+    /// `−½ Σ_ij W_ij ∂K_ij/∂θ`:
+    /// * `ln σ²`: `−½ Σ_ij W_ij (K_ij − σ_n² δ_ij)`;
+    /// * `ln σ_n²`: `−½ σ_n² tr W`;
+    /// * `ln ℓ_d`: `2 w_d Σ_{i>j} W_ij σ² g′(r²_ij) t_d,ij` with
+    ///   `w_d = ℓ_d⁻²` and `t_d` the tensor's pair block for dimension `d`.
+    ///
+    /// The work is one weighted pair sweep and one profile pass to build
+    /// `K`, one Cholesky, one triangular inverse for `K⁻¹`
+    /// ([`Cholesky::inverse_into`]) and one pair sweep per dimension. The
+    /// kernel rebuild and the factorization use up to `workers` threads
+    /// with fixed partitions; every reduction runs in a fixed sequential
+    /// order, so the result is bit-identical at any worker count.
+    ///
+    /// Only the lower triangle and diagonal of `K` are written: both
+    /// Cholesky kernels read nothing above the diagonal. Row `i`'s pairs
+    /// are contiguous in the packed vector (base `i(i−1)/2`), so rows
+    /// partition cleanly across workers.
+    fn value_grad(
+        &self,
+        p: &[f64],
+        grad: &mut [f64],
+        scratch: &mut LmlScratch,
+        workers: usize,
+    ) -> Option<f64> {
+        let n = self.tensor.n;
+        let (kernel, noise) = hyperparameters(self.kind, p, self.optimize_noise, self.noise_floor);
+        let w = kernel.inv_sq_lengthscales();
+        let LmlScratch { k, k_inv, pairs } = scratch;
+        self.tensor.weighted_r2_with(&w, pairs, workers);
+        let diag = kernel.diag_value() + noise;
+        // Row i of K from its packed r² block, which is overwritten by
+        // the slopes σ² g′(r²) the length-scale partials need.
+        let fill_rows = |krows: &mut [f64], prs: &mut [f64], lo: usize, hi: usize| {
+            let off = lo * lo.saturating_sub(1) / 2;
+            for i in lo..hi {
+                let base = i * i.saturating_sub(1) / 2 - off;
+                let row = &mut krows[(i - lo) * n..(i - lo) * n + i + 1];
+                for (rj, t) in row[..i].iter_mut().zip(&mut prs[base..base + i]) {
+                    let (kv, slope) = kernel.eval_r2_with_slope(*t);
+                    *rj = kv;
+                    *t = slope;
+                }
+                row[i] = diag;
+            }
+        };
+        let wk = if n * n < 4096 {
+            1
+        } else {
+            workers.max(1).min(n)
+        };
+        if wk <= 1 {
+            fill_rows(k.as_mut_slice(), pairs, 0, n);
+        } else {
+            // Row i costs i + 1 evaluations, so triangular ranges balance
+            // the profile work; chunks are whole rows, hence disjoint.
+            let mut rest: &mut [f64] = k.as_mut_slice();
+            let mut prest: &mut [f64] = pairs;
+            std::thread::scope(|scope| {
+                for r in par::triangular_ranges(n, wk) {
+                    let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(r.len() * n);
+                    rest = tail;
+                    let np_ = r.end * (r.end - 1) / 2 - r.start * r.start.saturating_sub(1) / 2;
+                    let (pchunk, ptail) = std::mem::take(&mut prest).split_at_mut(np_);
+                    prest = ptail;
+                    let fill_rows = &fill_rows;
+                    scope.spawn(move || fill_rows(chunk, pchunk, r.start, r.end));
+                }
+            });
+        }
+        let chol = Cholesky::new_jittered_with(k, workers).ok()?;
+        let alpha = chol.solve_vec(&self.ys);
+        let data_fit: f64 = self.ys.iter().zip(&alpha).map(|(&a, &b)| a * b).sum();
+        let value = 0.5 * data_fit
+            + 0.5 * chol.log_det()
+            + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+        chol.inverse_into(k_inv).ok()?;
+        // One pass over the lower triangle of W = ααᵀ − K⁻¹: the
+        // signal-variance partial's off-diagonal sum, tr W, and the
+        // slopes weighted in place by W_ij.
+        let mut w_k_off = 0.0;
+        let mut tr_w = 0.0;
+        for (i, &ai) in alpha.iter().enumerate() {
+            let base = i * i.saturating_sub(1) / 2;
+            let (inv_row, k_row) = (k_inv.row(i), k.row(i));
+            for (((slope, &inv), &kv), &aj) in pairs[base..base + i]
+                .iter_mut()
+                .zip(&inv_row[..i])
+                .zip(&k_row[..i])
+                .zip(&alpha)
+            {
+                let wij = ai * aj - inv;
+                w_k_off += wij * kv;
+                *slope *= wij;
+            }
+            tr_w += ai * ai - inv_row[i];
+        }
+        grad[0] = -(w_k_off + 0.5 * kernel.variance() * tr_w);
+        let np_ = pairs.len();
+        for (dk, (g, &wd)) in grad[1..].iter_mut().zip(&w).enumerate() {
+            let block = &self.tensor.data[dk * np_..(dk + 1) * np_];
+            let dot: f64 = pairs.iter().zip(block).map(|(&c, &t)| c * t).sum();
+            *g = 2.0 * wd * dot;
+        }
+        if self.optimize_noise {
+            grad[p.len() - 1] = -0.5 * noise * tr_w;
+        }
+        Some(value)
+    }
 }
 
 #[cfg(test)]
@@ -1019,6 +1148,148 @@ mod tests {
         // Constant targets: undefined.
         let gc = Gp::fit(&x, &[1.0; 20], Kernel::new(KernelKind::Matern32, 1), 1e-6).unwrap();
         assert!(gc.loo_r2().is_none());
+    }
+
+    /// Central finite differences of [`NegLml::value_grad`]'s value
+    /// against its analytic gradient, for every kernel, with the noise
+    /// optimized and fixed, and with one coordinate on a box bound
+    /// (checked there by a second-order one-sided difference into the
+    /// box, since the clamps flatten the objective outside it).
+    #[test]
+    fn lml_gradient_matches_finite_differences() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let (n, d) = (14, 3);
+        let x: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..d).map(|_| rng.random::<f64>()).collect())
+            .collect();
+        let y: Vec<f64> = x
+            .iter()
+            .map(|v| (4.0 * v[0]).sin() + v[1] * v[2] + 0.1 * rng.random::<f64>())
+            .collect();
+        let (y_mean, y_std) = standardization(&y);
+        let ys: Vec<f64> = y.iter().map(|&v| (v - y_mean) / y_std).collect();
+        let floor = 0.01;
+        for kind in [
+            KernelKind::SquaredExp,
+            KernelKind::Matern32,
+            KernelKind::Matern52,
+        ] {
+            for optimize_noise in [true, false] {
+                let problem = NegLml {
+                    tensor: PairTensor::new(&x),
+                    ys: ys.clone(),
+                    kind,
+                    optimize_noise,
+                    noise_floor: floor,
+                };
+                let bounds = problem.bounds(d);
+                // The log noise on its lower bound (the floor) when it is
+                // optimized; otherwise the last length-scale on its upper
+                // bound, where ARD parks an irrelevant dimension.
+                let mut p = vec![0.3, -1.0, -0.4, 0.2];
+                let at_bound = if optimize_noise {
+                    p.push(bounds[d + 1].0);
+                    d + 1
+                } else {
+                    p[d] = bounds[d].1;
+                    d
+                };
+                let mut scratch = LmlScratch::new(n);
+                let mut grad = vec![0.0; p.len()];
+                let f0 = problem.value_grad(&p, &mut grad, &mut scratch, 1).unwrap();
+                // The value is the exact GP's −LML at these hyperparameters.
+                let (kernel, noise) =
+                    hyperparameters(kind, &p, optimize_noise, problem.noise_floor);
+                let lml = Gp::fit(&x, &y, kernel, noise).unwrap().lml();
+                assert!(
+                    (f0 + lml).abs() < 1e-9 * lml.abs().max(1.0),
+                    "{f0} vs {lml}"
+                );
+                let mut f = |q: &[f64]| {
+                    let mut g = vec![0.0; q.len()];
+                    problem.value_grad(q, &mut g, &mut scratch, 1).unwrap()
+                };
+                let h = 1e-5;
+                for i in 0..p.len() {
+                    let shifted = |dx: f64| {
+                        let mut q = p.clone();
+                        q[i] += dx;
+                        q
+                    };
+                    let fd = if i != at_bound {
+                        (f(&shifted(h)) - f(&shifted(-h))) / (2.0 * h)
+                    } else if p[i] == bounds[i].0 {
+                        (-3.0 * f0 + 4.0 * f(&shifted(h)) - f(&shifted(2.0 * h))) / (2.0 * h)
+                    } else {
+                        (3.0 * f0 - 4.0 * f(&shifted(-h)) + f(&shifted(-2.0 * h))) / (2.0 * h)
+                    };
+                    assert!(
+                        (grad[i] - fd).abs() <= 1e-6 + 1e-4 * fd.abs(),
+                        "{kind:?}, noise optimized {optimize_noise}, θ[{i}]: \
+                         analytic {} vs finite difference {fd}",
+                        grad[i]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn value_grad_is_bit_identical_at_any_worker_count() {
+        // n = 130 puts the kernel fill, the pair sweep and the blocked
+        // Cholesky all past their parallel thresholds.
+        let mut rng = StdRng::seed_from_u64(4);
+        let x: Vec<Vec<f64>> = (0..130)
+            .map(|_| vec![rng.random::<f64>(), rng.random::<f64>()])
+            .collect();
+        let ys: Vec<f64> = x.iter().map(|v| (5.0 * v[0]).sin() - v[1]).collect();
+        let problem = NegLml {
+            tensor: PairTensor::new(&x),
+            ys,
+            kind: KernelKind::Matern52,
+            optimize_noise: true,
+            noise_floor: 1e-6,
+        };
+        let p = [0.1, -1.3, -0.7, -5.0];
+        let run = |workers: usize| {
+            let mut scratch = LmlScratch::new(x.len());
+            let mut grad = vec![0.0; p.len()];
+            let f = problem
+                .value_grad(&p, &mut grad, &mut scratch, workers)
+                .unwrap();
+            (
+                f.to_bits(),
+                grad.iter().map(|g| g.to_bits()).collect::<Vec<_>>(),
+            )
+        };
+        let base = run(1);
+        for workers in [2, 3, 4] {
+            assert_eq!(run(workers), base, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn train_reports_its_likelihood_evaluations() {
+        let x = grid_1d(15);
+        let y: Vec<f64> = x.iter().map(|v| (3.0 * v[0]).sin()).collect();
+        let cfg = GpConfig::default();
+        let gp = Gp::train(&x, &y, &cfg).unwrap();
+        let evals = gp.train_evals();
+        assert!(evals >= cfg.n_restarts, "{evals} evaluations");
+        assert!(
+            evals <= cfg.n_restarts * LbfgsOptions::default().max_evals,
+            "{evals} evaluations"
+        );
+        assert_eq!(
+            Gp::fit(&x, &y, gp.kernel().clone(), gp.noise())
+                .unwrap()
+                .train_evals(),
+            0
+        );
+        // Appends keep the count of the training that produced the model.
+        let mut grown = gp.clone();
+        grown.append(vec![0.55], 0.2).unwrap();
+        assert_eq!(grown.train_evals(), evals);
     }
 
     #[test]

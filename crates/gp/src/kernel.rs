@@ -3,6 +3,11 @@
 use cets_linalg::vecops;
 use serde::{Deserialize, Serialize};
 
+/// Range of every kernel log-parameter (`ln σ²`, `ln ℓ_k`):
+/// [`Kernel::from_log_params`] clamps to it and exact-GP training
+/// searches inside it.
+pub(crate) const LOG_PARAM_RANGE: (f64, f64) = (-8.0, 8.0);
+
 /// Which covariance family a [`Kernel`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KernelKind {
@@ -20,8 +25,8 @@ pub enum KernelKind {
 ///
 /// Hyperparameters are the signal variance `σ²` and one length-scale per
 /// input dimension. [`Kernel::to_log_params`] / [`Kernel::from_log_params`]
-/// round-trip them through the unconstrained log-space vector that the
-/// Nelder–Mead optimizer works on.
+/// round-trip them through the log-space vector that the hyperparameter
+/// optimizers work on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Kernel {
     kind: KernelKind,
@@ -107,18 +112,43 @@ impl Kernel {
         self.variance
     }
 
+    /// `(k, ∂k/∂r²)` from a scaled squared distance: the covariance of
+    /// [`Kernel::eval_r2`] (bit-identical) together with its slope
+    /// `σ² g′(r²)`, sharing the one exponential. The likelihood gradient
+    /// of [`crate::Gp::train`] builds `∂K/∂ln ℓ_d` from them.
+    #[inline]
+    pub(crate) fn eval_r2_with_slope(&self, r2: f64) -> (f64, f64) {
+        let (g, slope) = self.profile_with_slope(r2);
+        (self.variance * g, self.variance * slope)
+    }
+
+    #[inline]
     fn profile(&self, r2: f64) -> f64 {
+        self.profile_with_slope(r2).0
+    }
+
+    /// The unit-variance profile `g(r²)` and its derivative `g′(r²)`. The
+    /// slopes are `−½e^{−r²/2}` (squared exponential), `−(3/2)e^{−s}` with
+    /// `s = √3 r` (Matérn 3/2) and `−(5/6)(1+s)e^{−s}` with `s = √5 r`
+    /// (Matérn 5/2), none of them singular at `r = 0`.
+    #[inline]
+    fn profile_with_slope(&self, r2: f64) -> (f64, f64) {
         match self.kind {
-            KernelKind::SquaredExp => (-0.5 * r2).exp(),
+            KernelKind::SquaredExp => {
+                let g = (-0.5 * r2).exp();
+                (g, -0.5 * g)
+            }
             KernelKind::Matern32 => {
                 let r = r2.sqrt();
                 let s = 3.0_f64.sqrt() * r;
-                (1.0 + s) * (-s).exp()
+                let e = (-s).exp();
+                ((1.0 + s) * e, -1.5 * e)
             }
             KernelKind::Matern52 => {
                 let r = r2.sqrt();
                 let s = 5.0_f64.sqrt() * r;
-                (1.0 + s + s * s / 3.0) * (-s).exp()
+                let e = (-s).exp();
+                ((1.0 + s + s * s / 3.0) * e, -(5.0 / 6.0) * (1.0 + s) * e)
             }
         }
     }
@@ -139,7 +169,8 @@ impl Kernel {
             params.len() >= 2,
             "need at least variance + one lengthscale"
         );
-        let clamp = |v: f64| v.clamp(-8.0, 8.0).exp();
+        let (lo, hi) = LOG_PARAM_RANGE;
+        let clamp = |v: f64| v.clamp(lo, hi).exp();
         Kernel {
             kind,
             variance: clamp(params[0]),
@@ -243,6 +274,33 @@ mod tests {
         let s = 5.0_f64.sqrt();
         let expect = (1.0 + s + s * s / 3.0) * (-s).exp();
         assert!((k.eval(&[0.0], &[1.0]) - expect).abs() < 1e-12);
+    }
+
+    #[test]
+    fn slope_matches_finite_differences_and_value_is_eval_r2() {
+        for kind in [
+            KernelKind::SquaredExp,
+            KernelKind::Matern32,
+            KernelKind::Matern52,
+        ] {
+            let k = Kernel::with_params(kind, 1.7, vec![0.4]);
+            for r2 in [0.0, 1e-3, 0.3, 2.5, 9.0] {
+                let (v, slope) = k.eval_r2_with_slope(r2);
+                assert_eq!(v.to_bits(), k.eval_r2(r2).to_bits(), "{kind:?} at {r2}");
+                let h = 1e-6;
+                // One-sided at r² = 0, where the profile's domain starts.
+                let fd = if r2 == 0.0 {
+                    (k.eval_r2(h) - k.eval_r2(0.0)) / h
+                } else {
+                    (k.eval_r2(r2 + h) - k.eval_r2(r2 - h)) / (2.0 * h)
+                };
+                let tol = if r2 == 0.0 { 1e-2 } else { 1e-6 };
+                assert!(
+                    (slope - fd).abs() <= tol * fd.abs().max(1.0),
+                    "{kind:?} at {r2}: {slope} vs {fd}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,13 +10,14 @@
 //!   paper's search-time analysis hinges on), predictive mean/variance, log
 //!   marginal likelihood;
 //! * [`GpConfig`] / [`Gp::train`] — maximum-likelihood hyperparameter
-//!   selection via multi-start Nelder–Mead in log-space;
+//!   selection via multi-start box-projected L-BFGS on the analytic
+//!   gradient of the log marginal likelihood, in log-space;
 //! * [`SparseGp`] / [`Surrogate`] — the inducing-point (SGPR) tier and the
 //!   tier-selection layer over it: `O(N·m²)` training against the
 //!   variational ELBO, `O(m)`/`O(m²)` predictions, automatic escalation
 //!   past a configurable training-set size ([`TierPolicy`]);
-//! * [`nelder_mead`] — the derivative-free simplex optimizer, exposed for
-//!   reuse.
+//! * [`nelder_mead`] — the derivative-free simplex optimizer that trains
+//!   the sparse tier, exposed for reuse.
 //!
 //! Targets are standardized internally (zero mean, unit variance) so kernel
 //! hyperparameter priors stay scale-free; predictions are returned in the

@@ -4,8 +4,10 @@
 //! [`SparseGp`] implements Titsias' variational SGPR bound: `m` inducing
 //! points `Z` summarize `n` observations, hyperparameters are optimized
 //! against the **ELBO** (a lower bound on the exact log marginal
-//! likelihood) with the same Nelder–Mead driver as [`Gp::train`], and the
-//! per-evaluation cost drops from the exact GP's `O(n³)` to `O(n·m²)`:
+//! likelihood) by multi-start Nelder–Mead from [`Gp::train`]'s start
+//! points (the exact tier runs L-BFGS on its analytic gradient instead),
+//! and the per-evaluation cost drops from the exact GP's `O(n³)` to
+//! `O(n·m²)`:
 //!
 //! | operation            | exact [`Gp`] | [`SparseGp`]       |
 //! |----------------------|--------------|--------------------|
@@ -47,7 +49,7 @@
 //! of the cached [`PairTensor`] used for `K_mm`), so no `O(n·m·d)` tensor
 //! is ever materialized per hyperparameter step.
 
-use crate::gp::{check_finite, standardization, Gp, GpConfig, PairTensor};
+use crate::gp::{check_finite, hyperparameters, standardization, Gp, GpConfig, PairTensor};
 use crate::kernel::Kernel;
 use crate::optimize::nelder_mead;
 use crate::{GpError, Result};
@@ -533,13 +535,7 @@ impl SparseGp {
             });
             let raw = std::cell::RefCell::new(Vec::new());
             let neg_elbo = |p: &[f64]| -> f64 {
-                let (kp, noise) = if opt_noise {
-                    let (kp, np_) = p.split_at(p.len() - 1);
-                    (kp, np_[0].clamp(-27.0, 3.0).exp().max(floor))
-                } else {
-                    (p, floor)
-                };
-                let kernel = Kernel::from_log_params(cfg.kernel, kp);
+                let (kernel, noise) = hyperparameters(cfg.kernel, p, opt_noise, floor);
                 let mut s = scratch.borrow_mut();
                 let value = match sgpr_core(&data, &ys, yty, &kernel, noise, &mut s, iw) {
                     Some(core) => -core.elbo,
@@ -586,13 +582,7 @@ impl SparseGp {
         }
         let (p, _) = best
             .ok_or_else(|| GpError::TrainingFailed("no restart produced a finite ELBO".into()))?;
-        let (kp, noise) = if opt_noise {
-            let (kp, np_) = p.split_at(p.len() - 1);
-            (kp, np_[0].clamp(-27.0, 3.0).exp().max(floor))
-        } else {
-            (p.as_slice(), floor)
-        };
-        let kernel = Kernel::from_log_params(cfg.kernel, kp);
+        let (kernel, noise) = hyperparameters(cfg.kernel, &p, opt_noise, floor);
         let gp = Self::fit_with(x, y, z, kernel, noise, threads)?;
         Ok((gp, trace))
     }

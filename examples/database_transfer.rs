@@ -28,6 +28,7 @@ fn main() {
             ..Default::default()
         },
         evals_per_dim: 6,
+        record_database: true,
         ..Default::default()
     });
     let owners = TddftSimulator::owners();
@@ -38,13 +39,14 @@ fn main() {
     let (_, exec) = methodology
         .run(&cs1, &pairs, &cs1.default_config())
         .expect("CS1 tuning");
-    exec.database.save(&db_path).expect("persist database");
+    let database = exec.database.expect("recorded database");
+    database.save(&db_path).expect("persist database");
     println!(
         "session 1: tuned {} to {:.4}s with {} evaluations; database saved ({} records)",
         cs1.case().name,
         exec.final_value,
         exec.total_evals,
-        exec.database.len()
+        database.len()
     );
 
     // --- Session 2 (could be days later / another process): load the

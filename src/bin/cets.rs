@@ -161,10 +161,11 @@ fn run_pipeline<O: Objective>(
     objective: &O,
     owners: &[(String, String)],
     title: &str,
-    methodology: Methodology,
+    mut methodology: Methodology,
     report_path: Option<&str>,
     db_path: Option<&str>,
 ) -> ExitCode {
+    methodology.config.record_database |= db_path.is_some();
     let pairs: Vec<(&str, &str)> = owners
         .iter()
         .map(|(p, r)| (p.as_str(), r.as_str()))
@@ -195,15 +196,12 @@ fn run_pipeline<O: Objective>(
         }
         eprintln!("report written to {path}");
     }
-    if let Some(path) = db_path {
-        if let Err(e) = exec.database.save(std::path::Path::new(path)) {
+    if let (Some(path), Some(database)) = (db_path, &exec.database) {
+        if let Err(e) = database.save(std::path::Path::new(path)) {
             eprintln!("error writing database {path}: {e}");
             return ExitCode::FAILURE;
         }
-        eprintln!(
-            "database written to {path} ({} records)",
-            exec.database.len()
-        );
+        eprintln!("database written to {path} ({} records)", database.len());
     }
     ExitCode::SUCCESS
 }
