@@ -21,6 +21,9 @@
 //! `target/bench_smoke.json` so it never perturbs the real trajectory;
 //! every mode re-reads and validates the JSON it wrote before exiting 0.
 
+// Platform-stable FNV-1a (std's `DefaultHasher` is not guaranteed stable
+// across releases, and the hash lands in committed JSON).
+use cets_core::framelog::fnv1a;
 use cets_core::{BoConfig, BoSearch, Methodology, MethodologyConfig, Objective, VariationPolicy};
 use cets_gp::{select_inducing, Gp, GpConfig, Kernel, KernelKind, SparseGp, Surrogate, TierPolicy};
 use cets_linalg::ParConfig;
@@ -392,17 +395,6 @@ fn bench_propose_sparse(id: &'static str, n: usize, m: usize, reps: usize) -> Be
         threads_used: 1,
         extra: Vec::new(),
     })
-}
-
-/// Platform-stable FNV-1a fingerprint (std's `DefaultHasher` is not
-/// guaranteed stable across releases, and the hash lands in committed JSON).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Time one full `Methodology::run` (analysis + lint + planned searches)

@@ -17,7 +17,7 @@
 //! [`BoSearch::run_resilient`] and its siblings hand it a typed
 //! [`EvalOutcome`] callback.
 
-use crate::checkpoint::BoCheckpoint;
+use crate::checkpoint::{BoCheckpoint, CheckpointLog};
 use crate::normal;
 use crate::objective::Observation;
 use crate::resilience::{splitmix64, EvalOutcome, EvalRecord};
@@ -125,7 +125,9 @@ pub struct BoConfig {
     pub retrain_every: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Write a crash-recovery checkpoint after every evaluation.
+    /// Crash-recovery checkpoint: the search snapshots the records it
+    /// starts from there, then appends every attempt as it happens (see
+    /// [`crate::checkpoint`]).
     pub checkpoint_path: Option<PathBuf>,
     /// Worker threads that score the candidate pool; `1` scores it
     /// sequentially, and `0` means use the process-wide resolution
@@ -277,7 +279,7 @@ impl BoSearch {
         checkpoint: &BoCheckpoint,
     ) -> Result<SearchOutcome> {
         self.check_resume(checkpoint)?;
-        self.run_plain(subspace, f, checkpoint.records(), None)
+        self.run_plain(subspace, f, checkpoint.records.clone(), None)
     }
 
     /// The record loop over an evaluator that never fails.
@@ -712,7 +714,7 @@ impl BoSearch {
         checkpoint: &BoCheckpoint,
     ) -> Result<ResilientOutcome> {
         self.check_resume(checkpoint)?;
-        self.run_resilient_with_records(subspace, f, policy, checkpoint.records())
+        self.run_resilient_with_records(subspace, f, policy, checkpoint.records.clone())
     }
 
     /// Rebuild the [`SearchOutcome`] implied by a record prefix without
@@ -801,26 +803,28 @@ impl BoSearch {
         // plain cube; disjoint slabs when branch-and-prune recovered them).
         let uslabs = crate::contraction::active_unit_slabs(subspace);
 
-        let mut evaluate =
-            |u: &[f64], records: &mut Vec<EvalRecord>| -> Result<()> {
-                let cfg_full = subspace.lift(u)?;
-                records.push(EvalRecord::from_outcome(
-                    u.to_vec(),
-                    f(&cfg_full, records.len()),
-                ));
-                if let Some(path) = &cfg.checkpoint_path {
-                    BoCheckpoint::from_records(cfg.seed, records)
-                        .with_tier(cfg.gp.tier.tag())
-                        .save(path)?;
-                }
-                // Observe only after the record is durably part of the history
-                // (checkpoint written if configured): a crash in the observer
-                // leaves a resumable prefix, never a half-observed record.
-                on_record(records.last().ok_or_else(|| {
-                    CoreError::SearchStalled("record vanished after push".into())
-                })?)?;
-                Ok(())
-            };
+        // The checkpoint starts as one snapshot of the incoming records;
+        // every new attempt is then appended (and synced) as one frame.
+        let mut checkpoint = match &cfg.checkpoint_path {
+            Some(path) => Some(CheckpointLog::create(
+                path,
+                &BoCheckpoint::from_records(cfg.seed, &records).with_tier(cfg.gp.tier.tag()),
+            )?),
+            None => None,
+        };
+        let mut evaluate = |u: &[f64], records: &mut Vec<EvalRecord>| -> Result<()> {
+            let cfg_full = subspace.lift(u)?;
+            let record = EvalRecord::from_outcome(u.to_vec(), f(&cfg_full, records.len()));
+            if let Some(log) = &mut checkpoint {
+                log.append(&record)?;
+            }
+            // Observe only after the record is durably part of the history
+            // (checkpoint written if configured): a crash in the observer
+            // leaves a resumable prefix, never a half-observed record.
+            on_record(&record)?;
+            records.push(record);
+            Ok(())
+        };
 
         let n_failed = |records: &[EvalRecord]| records.iter().filter(|r| !r.is_ok()).count();
         let within_budget = |records: &[EvalRecord]| -> bool {
@@ -1615,6 +1619,85 @@ mod tests {
             search.resume(&sub, f, &foreign),
             Err(CoreError::Checkpoint(_))
         ));
+    }
+
+    #[test]
+    fn checkpoint_cut_at_any_byte_resumes_to_the_identical_file() {
+        // Tear a finished checkpoint at every frame boundary and inside
+        // every frame: a cut inside the magic or header fails to load, any
+        // other loads the whole frames, and resuming on the cut file
+        // restores the uninterrupted records and file byte for byte — for
+        // a plain search and a flaky failure-aware one.
+        use crate::resilience::{EvalError, EvalOutcome, FaultPlan};
+        let obj = SplitSphere::new();
+        let sub = Subspace::full(obj.space(), obj.default_config()).unwrap();
+        let dir = std::env::temp_dir().join(format!("cets_cut_any_byte_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let plain = |c: &Config| obj.evaluate(c).total;
+        // Faults keyed on the attempt ordinal: a resumed search meets the
+        // same faults with the same messages.
+        let plan = FaultPlan::flaky(0.3, 5);
+        let flaky = |c: &Config, i: usize| match plan.fault_for(i + 1, &sub.project(c).unwrap()) {
+            None => EvalOutcome::Ok(obj.evaluate(c)),
+            Some(kind) => EvalOutcome::Failed(EvalError::Crashed(format!("{kind:?} at {i}"))),
+        };
+        let policy = FailurePolicy::default();
+        // The attempts as Debug text, whose floats round-trip bit-exactly.
+        let run = |path: PathBuf, resilient: bool, cp: Option<&BoCheckpoint>| {
+            let s = BoSearch::new(BoConfig {
+                checkpoint_path: Some(path),
+                ..quick_config(20, 31)
+            });
+            let history = |o: SearchOutcome| history_records(o.history);
+            let records = match (resilient, cp) {
+                (false, None) => s.run(&sub, plain).map(history),
+                (false, Some(cp)) => s.resume(&sub, plain, cp).map(history),
+                (true, None) => s.run_resilient(&sub, flaky, &policy).map(|o| o.records),
+                (true, Some(cp)) => s
+                    .resume_resilient(&sub, flaky, &policy, cp)
+                    .map(|o| o.records),
+            };
+            format!("{:?}", records.unwrap())
+        };
+        for resilient in [false, true] {
+            let path = dir.join(format!("full-{resilient}.ckpt"));
+            let records = run(path.clone(), resilient, None);
+            assert_eq!(
+                records.contains("Err"),
+                resilient,
+                "failure frames iff flaky"
+            );
+            let full = std::fs::read(&path).unwrap();
+            // Frame ends: the magic's, the header's, then each attempt's.
+            let mut ends = vec![8];
+            while let Some(&at) = ends.last().filter(|&&at| at < full.len()) {
+                ends.push(
+                    at + 12 + u32::from_le_bytes(full[at..at + 4].try_into().unwrap()) as usize,
+                );
+            }
+            assert_eq!(ends.len(), 22);
+            let inside = ends.windows(2).map(|w| (w[0] + w[1]) / 2);
+            for cut in [0, 4].into_iter().chain(ends.clone()).chain(inside) {
+                let cut_path = dir.join(format!("cut-{resilient}-{cut}.ckpt"));
+                std::fs::write(&cut_path, &full[..cut]).unwrap();
+                let loaded = BoCheckpoint::load(&cut_path);
+                assert_eq!(loaded.is_ok(), cut >= ends[1], "cut at byte {cut}");
+                let Ok(cp) = loaded else { continue };
+                let whole = ends[2..].iter().filter(|&&end| end <= cut).count();
+                assert_eq!(cp.records.len(), whole, "cut at byte {cut}");
+                assert!(records.starts_with(format!("{:?}", cp.records).trim_end_matches(']')));
+                assert_eq!(
+                    run(cut_path.clone(), resilient, Some(&cp)),
+                    records,
+                    "cut {cut}"
+                );
+                assert!(
+                    std::fs::read(&cut_path).unwrap() == full,
+                    "cut {cut}: file differs"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

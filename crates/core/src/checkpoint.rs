@@ -2,61 +2,39 @@
 //!
 //! HPC tuning runs die: node failures, queue time limits, application
 //! crashes on pathological configurations. The paper chose GPTune partly
-//! for its crash recovery; CETS provides the same property by writing the
-//! full evaluation history to JSON after every objective evaluation —
-//! the most expensive state by far — so a restarted search continues where
-//! it stopped ([`crate::BoSearch::resume`]).
+//! for its crash recovery; CETS provides the same property by logging
+//! every objective evaluation — the most expensive state by far — as it
+//! happens, so a restarted search continues where it stopped
+//! ([`crate::BoSearch::resume`]).
 //!
-//! ## Format
+//! A checkpoint is a one-search log in the framed format of
+//! [`crate::framelog`] under the magic `CETSCKP1`: a header frame
+//! `{"seed":42,"tier":"auto:512"}`, then one frame per attempt, failures
+//! included — `{"u":[0.1,0.9],"y":3.5}` or
+//! `{"u":[0.4,0.2],"failed":{"kind":"crashed","message":"..."}}` — so
+//! plain and failure-aware searches alike resume bit-for-bit. A search
+//! with [`crate::BoConfig::checkpoint_path`] set snapshots the attempts it
+//! starts from, then appends and `sync_data`s one frame per new attempt.
 //!
-//! Checkpoints are versioned JSON objects. **Version 2** (current) records
-//! every *attempt*, including failures, so every search — plain
-//! ([`crate::BoSearch::run`]) or failure-aware
-//! ([`crate::BoSearch::run_resilient`]) — resumes bit-for-bit:
-//!
-//! ```json
-//! {
-//!   "version": 2,
-//!   "seed": 42,
-//!   "tier": "auto:512",
-//!   "x_unit": [[0.1, 0.9], [0.4, 0.2]],
-//!   "y": [3.5, 0.0],
-//!   "failed": [null, {"kind": "crashed", "message": "..."}],
-//!   "checksum": "fnv1a:a1b2c3d4e5f60718"
-//! }
-//! ```
-//!
-//! `checksum` is an FNV-1a hash of the semantic content (seed, tier, point
-//! and value bit patterns, failure records) verified on load; files written
-//! by older versions carry no field and load without the check. Writes are
-//! durable as well as atomic: the tmp file is fsynced before the rename and
-//! the parent directory after it, so a `kill -9` or power loss at any
-//! instant leaves either the previous checkpoint or the new one intact.
-//!
-//! `tier` is the surrogate tier-policy tag
-//! ([`cets_gp::TierPolicy::tag`]) the search ran with. Resume re-derives
-//! every per-iteration tier decision from the policy and the record
-//! count, so a mismatched policy would silently diverge from the
-//! interrupted trajectory — [`crate::BoSearch::resume`] and
-//! [`crate::BoSearch::resume_resilient`] reject it instead. Files
-//! written before the tier layer existed carry no `tier` field and
-//! resume without the check.
-//!
-//! `y[i]` holds `0.0` as a placeholder where `failed[i]` is non-null (JSON
-//! cannot encode NaN); imputation happens at GP-train time from the failure
-//! records, never from stored sentinel values. **Version 1** files (no
-//! `version` field) are read as all-success histories. Loading validates
-//! the version, array lengths, point dimensions, and finiteness, and
-//! reports what is wrong in [`CoreError::Checkpoint`] rather than
-//! panicking or silently resuming from garbage.
+//! [`BoCheckpoint::load`] returns the longest valid prefix: it stops at
+//! the first torn, checksum-damaged or invalid frame (ragged or
+//! non-finite point, non-finite value on a success, unknown failure
+//! kind). It fails only when no header survives or the file is not a
+//! checkpoint, such as the JSON checkpoints of earlier versions. Resume
+//! rejects a checkpoint whose seed or tier-policy tag
+//! ([`cets_gp::TierPolicy::tag`]) differs from the search's, since the
+//! trajectory re-derives every tier decision from the policy.
 
+use crate::framelog::{
+    encode_frame, read_frames, write_snapshot, FrameLog, FsyncPolicy, RecoveryReport,
+};
 use crate::resilience::{EvalRecord, FailedEval, FailureKind};
 use crate::{CoreError, Result};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::path::Path;
 
-/// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: i64 = 2;
+/// Checkpoint file magic: identifies the file kind and its version.
+pub const CHECKPOINT_MAGIC: &[u8; 8] = b"CETSCKP1";
 
 /// Persisted state of a (possibly interrupted) BO search.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,29 +43,23 @@ pub struct BoCheckpoint {
     /// `seed + attempts`, so continued runs stay deterministic without
     /// persisting raw RNG state).
     pub seed: u64,
-    /// Attempted active-space unit points, in attempt order.
-    pub x_unit: Vec<Vec<f64>>,
-    /// Corresponding objective values (`0.0` placeholder where the attempt
-    /// failed — see `failed`).
-    pub y: Vec<f64>,
-    /// Per-attempt failure record; `None` marks a successful evaluation.
-    pub failed: Vec<Option<FailedEval>>,
     /// Surrogate tier-policy tag the search ran with
-    /// ([`cets_gp::TierPolicy::tag`]); `None` for files written before the
-    /// tier layer existed. Resume rejects a mismatching tag rather than
-    /// silently diverging from the interrupted trajectory.
+    /// ([`cets_gp::TierPolicy::tag`]); `None` when saved without one.
+    /// Resume rejects a mismatching tag rather than silently diverging
+    /// from the interrupted trajectory.
     pub tier: Option<String>,
+    /// Every attempt, failures included, in attempt order.
+    pub records: Vec<EvalRecord>,
 }
 
 impl BoCheckpoint {
     /// Snapshot an all-success history.
     pub fn from_history(seed: u64, history: &[(Vec<f64>, f64)]) -> Self {
+        let records = history.iter().map(|(u, y)| EvalRecord::ok(u.clone(), *y));
         BoCheckpoint {
             seed,
-            x_unit: history.iter().map(|(u, _)| u.clone()).collect(),
-            y: history.iter().map(|(_, y)| *y).collect(),
-            failed: vec![None; history.len()],
             tier: None,
+            records: records.collect(),
         }
     }
 
@@ -95,13 +67,8 @@ impl BoCheckpoint {
     pub fn from_records(seed: u64, records: &[EvalRecord]) -> Self {
         BoCheckpoint {
             seed,
-            x_unit: records.iter().map(|r| r.u.clone()).collect(),
-            y: records.iter().map(|r| r.y().unwrap_or(0.0)).collect(),
-            failed: records
-                .iter()
-                .map(|r| r.value.as_ref().err().cloned())
-                .collect(),
             tier: None,
+            records: records.to_vec(),
         }
     }
 
@@ -113,255 +80,127 @@ impl BoCheckpoint {
 
     /// Rebuild the `(point, value)` history of **successful** evaluations.
     pub fn history(&self) -> Vec<(Vec<f64>, f64)> {
-        self.x_unit
-            .iter()
-            .zip(&self.y)
-            .zip(&self.failed)
-            .filter(|(_, f)| f.is_none())
-            .map(|((u, y), _)| (u.clone(), *y))
-            .collect()
-    }
-
-    /// Rebuild the full attempt history, failures included.
-    pub fn records(&self) -> Vec<EvalRecord> {
-        self.x_unit
-            .iter()
-            .zip(&self.y)
-            .zip(&self.failed)
-            .map(|((u, y), f)| match f {
-                None => EvalRecord::ok(u.clone(), *y),
-                Some(e) => EvalRecord::failed(u.clone(), e.clone()),
-            })
-            .collect()
+        let ok = |r: &EvalRecord| r.y().map(|y| (r.u.clone(), y));
+        self.records.iter().filter_map(ok).collect()
     }
 
     /// Number of attempts (successes + failures).
     pub fn n_evals(&self) -> usize {
-        self.y.len()
+        self.records.len()
     }
 
     /// Number of failed attempts.
     pub fn n_failed(&self) -> usize {
-        self.failed.iter().filter(|f| f.is_some()).count()
+        self.records.iter().filter(|r| !r.is_ok()).count()
     }
 
-    /// Content checksum over the semantic payload (seed, tier tag, point
-    /// and value bit patterns, failure records), independent of JSON
-    /// formatting. Written into the v2 payload by [`BoCheckpoint::save`]
-    /// and verified on load, so silent storage corruption (a post-rename
-    /// power loss, a flipped bit) is diagnosed as a checksum mismatch
-    /// instead of surfacing as a confusing parse or validation error — or
-    /// worse, resuming from subtly wrong history.
-    pub fn content_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(&self.seed.to_le_bytes());
-        if let Some(tag) = &self.tier {
-            eat(&(tag.len() as u64).to_le_bytes());
-            eat(tag.as_bytes());
-        }
-        eat(&(self.x_unit.len() as u64).to_le_bytes());
-        for (i, u) in self.x_unit.iter().enumerate() {
-            eat(&(u.len() as u64).to_le_bytes());
-            for v in u {
-                eat(&v.to_bits().to_le_bytes());
-            }
-            match &self.failed.get(i) {
-                Some(Some(f)) => {
-                    eat(b"err");
-                    eat(f.kind.as_str().as_bytes());
-                    eat(&(f.message.len() as u64).to_le_bytes());
-                    eat(f.message.as_bytes());
-                }
-                _ => {
-                    eat(b"ok");
-                    eat(&self
-                        .y
-                        .get(i)
-                        .copied()
-                        .unwrap_or(0.0)
-                        .to_bits()
-                        .to_le_bytes());
-                }
-            }
-        }
-        h
-    }
-
-    /// Write durably and atomically: serialize to `<path>.tmp`, `fsync` the
-    /// tmp file, rename over `path`, then `fsync` the parent directory so
-    /// the rename itself survives a power loss. A crash at any point leaves
-    /// either the previous checkpoint or the new one — never a torn file —
-    /// and the embedded [`BoCheckpoint::content_hash`] lets `load` diagnose
-    /// silent corruption that slips past those guarantees.
+    /// Write the whole checkpoint as one durable, atomic snapshot
+    /// ([`crate::framelog::write_snapshot`]).
     pub fn save(&self, path: &Path) -> Result<()> {
-        use std::io::Write;
-        let json = serde_json::to_string_pretty(self)
-            .map_err(|e| CoreError::Checkpoint(format!("serialize: {e}")))?;
-        let tmp = path.with_extension("tmp");
-        let mut f = std::fs::File::create(&tmp)
-            .map_err(|e| CoreError::Checkpoint(format!("create {}: {e}", tmp.display())))?;
-        f.write_all(json.as_bytes())
-            .map_err(|e| CoreError::Checkpoint(format!("write {}: {e}", tmp.display())))?;
-        f.sync_all()
-            .map_err(|e| CoreError::Checkpoint(format!("fsync {}: {e}", tmp.display())))?;
-        drop(f);
-        std::fs::rename(&tmp, path)
-            .map_err(|e| CoreError::Checkpoint(format!("rename to {}: {e}", path.display())))?;
-        // Persist the rename: fsync the directory entry. Directory handles
-        // are a Unix notion; elsewhere the rename is as durable as it gets.
-        #[cfg(unix)]
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            let d = std::fs::File::open(dir)
-                .map_err(|e| CoreError::Checkpoint(format!("open dir {}: {e}", dir.display())))?;
-            d.sync_all()
-                .map_err(|e| CoreError::Checkpoint(format!("fsync dir {}: {e}", dir.display())))?;
-        }
-        Ok(())
-    }
-
-    /// Load and validate a checkpoint written by [`BoCheckpoint::save`]
-    /// (or a pre-versioning v1 file).
-    pub fn load(path: &Path) -> Result<Self> {
-        let data = std::fs::read_to_string(path)
-            .map_err(|e| CoreError::Checkpoint(format!("read {}: {e}", path.display())))?;
-        let cp: BoCheckpoint = serde_json::from_str(&data)
-            .map_err(|e| CoreError::Checkpoint(format!("parse {}: {e}", path.display())))?;
-        cp.validate()
-            .map_err(|m| CoreError::Checkpoint(format!("{}: {m}", path.display())))?;
-        Ok(cp)
-    }
-
-    /// Structural validation: consistent lengths and dimensions, finite
-    /// points, finite values on successful entries.
-    fn validate(&self) -> std::result::Result<(), String> {
-        if self.x_unit.len() != self.y.len() {
-            return Err(format!(
-                "corrupt checkpoint: {} points vs {} values",
-                self.x_unit.len(),
-                self.y.len()
-            ));
-        }
-        if self.failed.len() != self.y.len() {
-            return Err(format!(
-                "corrupt checkpoint: {} failure markers vs {} values",
-                self.failed.len(),
-                self.y.len()
-            ));
-        }
-        let dim = self.x_unit.first().map(Vec::len).unwrap_or(0);
-        for (i, u) in self.x_unit.iter().enumerate() {
-            if u.len() != dim {
-                return Err(format!(
-                    "corrupt checkpoint: point {i} has {} coordinates, expected {dim}",
-                    u.len()
-                ));
-            }
-            if let Some(j) = u.iter().position(|v| !v.is_finite()) {
-                return Err(format!(
-                    "corrupt checkpoint: point {i} coordinate {j} is not finite"
-                ));
-            }
-        }
-        for (i, (y, f)) in self.y.iter().zip(&self.failed).enumerate() {
-            if f.is_none() && !y.is_finite() {
-                return Err(format!(
-                    "corrupt checkpoint: value {i} is not finite on a successful entry"
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-// Hand-written (de)serialization: the vendored serde derive has no
-// `#[serde(default)]`, and the version/back-compat handling needs explicit
-// control anyway.
-
-impl Serialize for BoCheckpoint {
-    fn serialize(&self) -> Value {
-        // `y` placeholders for failed entries are already finite (0.0), so
-        // the JSON never contains nulls in the value array.
-        let mut fields = vec![
-            ("version".into(), Value::Int(CHECKPOINT_VERSION)),
-            ("seed".into(), self.seed.serialize()),
-        ];
+        let mut header = vec![("seed".to_string(), self.seed.serialize())];
         if let Some(tag) = &self.tier {
-            fields.push(("tier".into(), Value::String(tag.clone())));
+            header.push(("tier".to_string(), tag.serialize()));
         }
-        fields.push(("x_unit".into(), self.x_unit.serialize()));
-        fields.push(("y".into(), self.y.serialize()));
-        fields.push(("failed".into(), self.failed.serialize()));
-        fields.push((
-            "checksum".into(),
-            Value::String(format!("fnv1a:{:016x}", self.content_hash())),
-        ));
-        Value::Object(fields)
+        let frames = std::iter::once(Value::Object(header)).chain(self.records.iter().map(payload));
+        let mut bytes = CHECKPOINT_MAGIC.to_vec();
+        for frame in frames {
+            bytes.extend_from_slice(&encode_frame(&frame)?);
+        }
+        Ok(write_snapshot(path, &bytes)?)
+    }
+
+    /// Load the longest valid prefix of a checkpoint; the file is only
+    /// read, never repaired.
+    pub fn load(path: &Path) -> Result<Self> {
+        let in_file = |e: String| CoreError::Checkpoint(format!("{}: {e}", path.display()));
+        let bytes = std::fs::read(path).map_err(|e| in_file(e.to_string()))?;
+        match Self::decode(&bytes) {
+            Ok((cp, _)) => Ok(cp),
+            Err(CoreError::Checkpoint(m)) => Err(in_file(m)),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Decode checkpoint bytes: the longest valid prefix, and the report
+    /// of where and why reading stopped.
+    pub fn decode(bytes: &[u8]) -> Result<(Self, RecoveryReport)> {
+        if bytes.first() == Some(&b'{') {
+            return Err(CoreError::Checkpoint(
+                "a JSON checkpoint from an earlier version; this build reads only \
+                 CETSCKP1 checkpoint logs"
+                    .into(),
+            ));
+        }
+        let (mut header, mut dim) = (None, None);
+        let (frames, report) = read_frames(bytes, CHECKPOINT_MAGIC, |v| {
+            if header.is_some() {
+                return decode_record(v, &mut dim).map(Some);
+            }
+            let seed = v.get_field("seed").as_u64()?;
+            header = Some((seed, Deserialize::deserialize(v.get_field("tier"))?));
+            Ok(None)
+        })?;
+        let Some((seed, tier)) = header else {
+            let why = report.truncated.as_deref().unwrap_or("empty file");
+            return Err(CoreError::Checkpoint(format!(
+                "no checkpoint header ({why})"
+            )));
+        };
+        let records = frames.into_iter().flatten().collect();
+        Ok((
+            BoCheckpoint {
+                seed,
+                tier,
+                records,
+            },
+            report,
+        ))
     }
 }
 
-impl Deserialize for BoCheckpoint {
-    fn deserialize(v: &Value) -> std::result::Result<Self, DeError> {
-        let version = match v.get_field("version") {
-            Value::Null => 1, // pre-versioning files carry no field
-            other => other
-                .as_i64()
-                .map_err(|e| DeError(format!("version: {e}")))?,
-        };
-        if !(1..=CHECKPOINT_VERSION).contains(&version) {
-            return Err(DeError(format!(
-                "unsupported checkpoint version {version} (this build reads 1..={CHECKPOINT_VERSION})"
-            )));
-        }
-        let seed = v
-            .get_field("seed")
-            .as_u64()
-            .map_err(|e| DeError(format!("seed: {e}")))?;
-        let x_unit: Vec<Vec<f64>> = Deserialize::deserialize(v.get_field("x_unit"))
-            .map_err(|e| DeError(format!("x_unit: {e}")))?;
-        let y: Vec<f64> =
-            Deserialize::deserialize(v.get_field("y")).map_err(|e| DeError(format!("y: {e}")))?;
-        let failed: Vec<Option<FailedEval>> = if version >= 2 {
-            Deserialize::deserialize(v.get_field("failed"))
-                .map_err(|e| DeError(format!("failed: {e}")))?
-        } else {
-            vec![None; y.len()]
-        };
-        // Optional in every version: absent in files written before the
-        // sparse-GP tier layer existed.
-        let tier: Option<String> = match v.get_field("tier") {
-            Value::Null => None,
-            other => Some(String::deserialize(other).map_err(|e| DeError(format!("tier: {e}")))?),
-        };
-        let cp = BoCheckpoint {
-            seed,
-            x_unit,
-            y,
-            failed,
-            tier,
-        };
-        // Verify the embedded content checksum when present (absent in
-        // files written by older versions — still accepted).
-        match v.get_field("checksum") {
-            Value::Null => {}
-            other => {
-                let stored =
-                    String::deserialize(other).map_err(|e| DeError(format!("checksum: {e}")))?;
-                let computed = format!("fnv1a:{:016x}", cp.content_hash());
-                if stored != computed {
-                    return Err(DeError(format!(
-                        "checksum mismatch: file says {stored}, content hashes to {computed} — \
-                         the checkpoint was corrupted after it was written"
-                    )));
-                }
-            }
-        }
-        Ok(cp)
+/// The append side of a running search's checkpoint.
+#[derive(Debug)]
+pub(crate) struct CheckpointLog(FrameLog);
+
+impl CheckpointLog {
+    /// Save `checkpoint` as a snapshot, then append new attempts to it.
+    pub(crate) fn create(path: &Path, checkpoint: &BoCheckpoint) -> Result<Self> {
+        checkpoint.save(path)?;
+        let (log, _, _) = FrameLog::open(path, CHECKPOINT_MAGIC, FsyncPolicy::Always, |_| Ok(()))?;
+        Ok(CheckpointLog(log))
+    }
+
+    /// Append one attempt and `sync_data` it.
+    pub(crate) fn append(&mut self, record: &EvalRecord) -> Result<()> {
+        self.0.append(&payload(record))?;
+        Ok(())
+    }
+}
+
+/// An attempt's frame: `{"u":[…],"y":…}` or `{"u":[…],"failed":{…}}`.
+fn payload(record: &EvalRecord) -> Value {
+    let value = match &record.value {
+        Ok(y) => ("y".to_string(), Value::Float(*y)),
+        Err(f) => ("failed".to_string(), f.serialize()),
+    };
+    Value::Object(vec![("u".to_string(), record.u.serialize()), value])
+}
+
+/// Decode one attempt, holding every point to the first one's dimension.
+fn decode_record(v: &Value, dim: &mut Option<usize>) -> std::result::Result<EvalRecord, DeError> {
+    let u: Vec<f64> = Deserialize::deserialize(v.get_field("u"))?;
+    let expected = *dim.get_or_insert(u.len());
+    if u.len() != expected || u.iter().any(|x| !x.is_finite()) {
+        return Err(DeError(format!(
+            "point {u:?} is not {expected} finite coordinates"
+        )));
+    }
+    match v.get_field("failed") {
+        Value::Null => match v.get_field("y").as_f64()? {
+            y if y.is_finite() => Ok(EvalRecord::ok(u, y)),
+            _ => Err(DeError("value is not finite on a successful entry".into())),
+        },
+        failed => Ok(EvalRecord::failed(u, FailedEval::deserialize(failed)?)),
     }
 }
 
@@ -394,9 +233,19 @@ mod tests {
     use super::*;
 
     fn tmp_path(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("cets_ckpt_{}_{name}.json", std::process::id()));
-        p
+        std::env::temp_dir().join(format!("cets_ckpt_{}_{name}.ckpt", std::process::id()))
+    }
+
+    /// Decode a hand-made checkpoint, a header then one JSON text per
+    /// attempt frame: the loaded attempts and why reading stopped.
+    fn decode_frames(frames: &[&str]) -> (Vec<EvalRecord>, String) {
+        let mut bytes = CHECKPOINT_MAGIC.to_vec();
+        for f in std::iter::once(&r#"{"seed":1}"#).chain(frames) {
+            let v = serde_json::parse_value(f).unwrap();
+            bytes.extend_from_slice(&encode_frame(&v).unwrap());
+        }
+        let (cp, report) = BoCheckpoint::decode(&bytes).unwrap();
+        (cp.records, report.truncated.unwrap_or_default())
     }
 
     #[test]
@@ -432,7 +281,7 @@ mod tests {
         let path = tmp_path("records");
         cp.save(&path).unwrap();
         let loaded = BoCheckpoint::load(&path).unwrap();
-        assert_eq!(loaded.records(), records);
+        assert_eq!(loaded.records, records);
         // Successful history skips the failure.
         assert_eq!(
             loaded.history(),
@@ -443,47 +292,14 @@ mod tests {
 
     #[test]
     fn tier_tag_roundtrips_and_defaults_to_none() {
-        let cp = BoCheckpoint::from_history(3, &[(vec![0.1], 1.0)]).with_tier("auto:512".into());
+        let cp = BoCheckpoint::from_history(3, &[(vec![0.1], 1.0)]);
         let path = tmp_path("tier");
-        cp.save(&path).unwrap();
+        cp.clone().with_tier("auto:512".into()).save(&path).unwrap();
         let loaded = BoCheckpoint::load(&path).unwrap();
         assert_eq!(loaded.tier.as_deref(), Some("auto:512"));
-        assert_eq!(loaded, cp);
-        // A file without the field (older writer) loads as `None`.
-        std::fs::write(
-            &path,
-            r#"{"version":2,"seed":3,"x_unit":[[0.1]],"y":[1.0],"failed":[null]}"#,
-        )
-        .unwrap();
-        assert_eq!(BoCheckpoint::load(&path).unwrap().tier, None);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v1_file_without_version_loads_as_all_success() {
-        let path = tmp_path("v1");
-        std::fs::write(&path, r#"{"seed":9,"x_unit":[[0.1],[0.2]],"y":[1.0,2.0]}"#).unwrap();
-        let cp = BoCheckpoint::load(&path).unwrap();
-        assert_eq!(cp.seed, 9);
-        assert_eq!(cp.n_failed(), 0);
-        assert_eq!(cp.history(), vec![(vec![0.1], 1.0), (vec![0.2], 2.0)]);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn future_version_rejected_with_clear_message() {
-        let path = tmp_path("future");
-        std::fs::write(
-            &path,
-            r#"{"version":99,"seed":1,"x_unit":[],"y":[],"failed":[]}"#,
-        )
-        .unwrap();
-        let err = BoCheckpoint::load(&path).unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("unsupported checkpoint version 99"),
-            "{err}"
-        );
+        // Saved without a tag, it loads as `None`.
+        cp.save(&path).unwrap();
+        assert_eq!(BoCheckpoint::load(&path).unwrap(), cp);
         std::fs::remove_file(&path).ok();
     }
 
@@ -498,68 +314,65 @@ mod tests {
 
     #[test]
     fn corrupt_lengths_rejected() {
-        let path = tmp_path("corrupt");
-        std::fs::write(&path, r#"{"seed":1,"x_unit":[[0.1]],"y":[1.0,2.0]}"#).unwrap();
-        assert!(matches!(
-            BoCheckpoint::load(&path),
-            Err(CoreError::Checkpoint(_))
-        ));
+        // A frame length past the end of the file or past the cap ends
+        // the valid prefix before that frame.
+        let cp = BoCheckpoint::from_history(1, &[(vec![0.1], 1.0), (vec![0.2], 2.0)]);
+        let path = tmp_path("lengths");
+        cp.save(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();
+        let last = bytes.len() - 12 - r#"{"u":[0.2],"y":2.0}"#.len();
+        for len in [u32::MAX, 4096] {
+            bytes[last..last + 4].copy_from_slice(&len.to_le_bytes());
+            let (loaded, report) = BoCheckpoint::decode(&bytes).unwrap();
+            assert_eq!(loaded.records, cp.records[..1]);
+            assert_eq!(report.valid_bytes, last as u64);
+        }
     }
 
     #[test]
     fn ragged_points_rejected() {
-        let path = tmp_path("ragged");
-        std::fs::write(
-            &path,
-            r#"{"seed":1,"x_unit":[[0.1,0.2],[0.3]],"y":[1.0,2.0]}"#,
-        )
-        .unwrap();
-        let err = BoCheckpoint::load(&path).unwrap_err();
-        assert!(err.to_string().contains("coordinates"), "{err}");
-        std::fs::remove_file(&path).ok();
+        let (records, why) =
+            decode_frames(&[r#"{"u":[0.1,0.2],"y":1.0}"#, r#"{"u":[0.3],"y":2.0}"#]);
+        assert_eq!(records, vec![EvalRecord::ok(vec![0.1, 0.2], 1.0)]);
+        assert!(why.contains("not 2 finite coordinates"), "{why}");
     }
 
     #[test]
     fn null_value_on_success_entry_rejected() {
         // JSON null reads back as NaN; a successful entry must be finite.
-        let path = tmp_path("nan");
-        std::fs::write(&path, r#"{"seed":1,"x_unit":[[0.1]],"y":[null]}"#).unwrap();
-        let err = BoCheckpoint::load(&path).unwrap_err();
-        assert!(err.to_string().contains("not finite"), "{err}");
-        std::fs::remove_file(&path).ok();
+        let (records, why) = decode_frames(&[r#"{"u":[0.1],"y":null}"#]);
+        assert!(records.is_empty());
+        assert!(why.contains("not finite"), "{why}");
     }
 
     #[test]
     fn unknown_failure_kind_rejected() {
-        let path = tmp_path("badkind");
-        std::fs::write(
-            &path,
-            r#"{"version":2,"seed":1,"x_unit":[[0.1]],"y":[0.0],"failed":[{"kind":"cosmic-ray","message":""}]}"#,
-        )
-        .unwrap();
-        let err = BoCheckpoint::load(&path).unwrap_err();
-        assert!(err.to_string().contains("cosmic-ray"), "{err}");
-        std::fs::remove_file(&path).ok();
+        let bad = r#"{"u":[0.1],"failed":{"kind":"cosmic-ray","message":""}}"#;
+        let (records, why) = decode_frames(&[bad]);
+        assert!(records.is_empty());
+        assert!(why.contains("cosmic-ray"), "{why}");
     }
 
     #[test]
     fn garbage_json_rejected() {
+        // Garbage, and a log of another kind (here a `cets serve` WAL), are
+        // refused by their magic.
         let path = tmp_path("garbage");
-        std::fs::write(&path, "not json at all").unwrap();
-        assert!(BoCheckpoint::load(&path).is_err());
+        let wal = [b"CETSWAL1".as_slice(), &encode_frame(&1i64).unwrap()].concat();
+        for bytes in [b"not json at all".as_slice(), &wal] {
+            std::fs::write(&path, bytes).unwrap();
+            let err = BoCheckpoint::load(&path).unwrap_err().to_string();
+            assert!(err.contains("magic mismatch"), "{err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn truncated_json_rejected() {
+        // Half of a JSON checkpoint written by an earlier version.
         let path = tmp_path("truncated");
-        let full = serde_json::to_string_pretty(&BoCheckpoint::from_history(
-            3,
-            &[(vec![0.1, 0.2], 1.0), (vec![0.3, 0.4], 2.0)],
-        ))
-        .unwrap();
-        std::fs::write(&path, &full[..full.len() / 2]).unwrap();
+        std::fs::write(&path, r#"{"version":2,"seed":3,"x_unit":[[0.1,0.2],[0."#).unwrap();
         assert!(matches!(
             BoCheckpoint::load(&path),
             Err(CoreError::Checkpoint(_))
@@ -568,45 +381,14 @@ mod tests {
     }
 
     #[test]
-    fn checksum_detects_silent_corruption() {
-        let path = tmp_path("checksum");
-        let cp = BoCheckpoint::from_records(
-            11,
-            &[
-                EvalRecord::ok(vec![0.25, 0.75], 3.0),
-                EvalRecord::failed(
-                    vec![0.5, 0.5],
-                    FailedEval {
-                        kind: FailureKind::Timeout,
-                        message: "slow".into(),
-                    },
-                ),
-            ],
-        );
-        cp.save(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"checksum\""), "{text}");
-        // Flip one observed value without touching the stored checksum:
-        // structurally valid JSON, semantically corrupt.
-        let tampered = text.replacen("3.0", "3.5", 1);
-        assert_ne!(tampered, text);
-        std::fs::write(&path, tampered).unwrap();
+    fn parent_json_checkpoint_refused_and_left_untouched() {
+        let path = tmp_path("parent_json");
+        let json = "{\n  \"version\": 2,\n  \"seed\": 5,\n  \"x_unit\": [\n    [\n      0.3\n    ]\n  ],\n  \
+                    \"y\": [\n    2.0\n  ],\n  \"failed\": [\n    null\n  ]\n}";
+        std::fs::write(&path, json).unwrap();
         let err = BoCheckpoint::load(&path).unwrap_err();
-        assert!(err.to_string().contains("checksum mismatch"), "{err}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn checksum_field_absent_still_loads() {
-        // Files written before the checksum existed load without the check.
-        let path = tmp_path("nochecksum");
-        std::fs::write(
-            &path,
-            r#"{"version":2,"seed":5,"x_unit":[[0.3]],"y":[2.0],"failed":[null]}"#,
-        )
-        .unwrap();
-        let cp = BoCheckpoint::load(&path).unwrap();
-        assert_eq!(cp.seed, 5);
+        assert!(err.to_string().contains("earlier version"), "{err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), json);
         std::fs::remove_file(&path).ok();
     }
 

@@ -139,16 +139,12 @@ impl Database {
         Ok(())
     }
 
-    /// Save as pretty JSON (atomically, via a temp file + rename).
+    /// Save as pretty JSON, atomically and durably
+    /// ([`crate::framelog::write_snapshot`]).
     pub fn save(&self, path: &Path) -> Result<()> {
         let json = serde_json::to_string_pretty(self)
             .map_err(|e| CoreError::Checkpoint(format!("serialize database: {e}")))?;
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, json)
-            .map_err(|e| CoreError::Checkpoint(format!("write {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| CoreError::Checkpoint(format!("rename to {}: {e}", path.display())))?;
-        Ok(())
+        Ok(crate::framelog::write_snapshot(path, json.as_bytes())?)
     }
 
     /// Load and validate against the expected parameter layout of

@@ -33,6 +33,7 @@ pub mod checkpoint;
 pub mod construct;
 pub mod contraction;
 pub mod db;
+pub mod framelog;
 pub mod grid_search;
 pub mod highdim;
 pub mod insights;

@@ -736,6 +736,10 @@ fn stage_budget(bo_template: &BoConfig, workers: usize, n_searches: usize) -> (u
 /// Every evaluation is recorded in a [`Database`]: a failed final
 /// verification falls back to its best entry. The result keeps it in
 /// [`PlanExecution::database`] only with `record_database`.
+///
+/// A template [`BoConfig::checkpoint_path`] is rejected with
+/// [`CoreError::BadConfig`]: every search is cloned from the template, so
+/// all would log into that one file.
 pub fn execute_plan<O: Objective + ?Sized>(
     objective: &O,
     plan: &SearchPlan,
@@ -744,6 +748,13 @@ pub fn execute_plan<O: Objective + ?Sized>(
     resilience: Option<&ResilienceConfig>,
     record_database: bool,
 ) -> Result<PlanExecution> {
+    if let Some(path) = &bo_template.checkpoint_path {
+        return Err(CoreError::BadConfig(format!(
+            "checkpoint_path {} set on the plan's BO template: every search of the plan \
+             would log into that one file",
+            path.display()
+        )));
+    }
     let unguarded = ResilienceConfig::unguarded();
     let resilience = resilience.unwrap_or(&unguarded);
     let start = Instant::now();
@@ -1768,5 +1779,28 @@ mod tests {
             }]],
         };
         assert!(execute_plan(&obj, &plan, &quick_bo(), 1, None, false).is_err());
+    }
+
+    #[test]
+    fn template_checkpoint_path_rejected_before_any_evaluation() {
+        let inner = SplitSphere::new();
+        let obj = crate::CountingObjective::new(&inner);
+        let plan = SearchPlan {
+            stages: vec![vec![PlannedSearch {
+                name: "x0".into(),
+                params: vec!["x0".into()],
+                dropped: vec![],
+                target: SearchTarget::Total,
+                budget: 5,
+            }]],
+        };
+        let path = std::env::temp_dir().join(format!("cets_plan_ckpt_{}", std::process::id()));
+        let bo = BoConfig {
+            checkpoint_path: Some(path.clone()),
+            ..quick_bo()
+        };
+        let err = execute_plan(&obj, &plan, &bo, 2, None, false).unwrap_err();
+        assert!(matches!(err, CoreError::BadConfig(_)), "{err}");
+        assert_eq!((obj.count(), path.exists()), (0, false));
     }
 }

@@ -1,6 +1,7 @@
 //! Property-based tests for the tuning engine: normal helpers,
 //! checkpoints, acquisition behaviour and sensitivity-driver invariants.
 
+use cets_core::checkpoint::CHECKPOINT_MAGIC;
 use cets_core::normal;
 use cets_core::{
     routine_sensitivity, BoCheckpoint, BoConfig, BoSearch, EvalRecord, FailedEval, FailureKind,
@@ -58,7 +59,9 @@ proptest! {
 
     /// Arbitrary bytes on disk: [`BoCheckpoint::load`] must return a clean
     /// error (or a valid checkpoint), never panic — checkpoints exist to
-    /// recover from crashes, so a corrupt one must not cause another.
+    /// recover from crashes, so a corrupt one must not cause another. The
+    /// bytes are also decoded behind the checkpoint magic, so the frame
+    /// reader sees them too.
     #[test]
     fn corrupt_checkpoint_bytes_never_panic(
         bytes in proptest::collection::vec(0u8..=255, 0..300),
@@ -67,27 +70,38 @@ proptest! {
         let mut h = std::hash::DefaultHasher::new();
         bytes.hash(&mut h);
         let path = std::env::temp_dir().join(format!(
-            "cets_prop_corrupt_{}_{:016x}.json",
+            "cets_prop_corrupt_{}_{:016x}.ckpt",
             std::process::id(),
             h.finish()
         ));
         std::fs::write(&path, &bytes).unwrap();
-        let result = BoCheckpoint::load(&path);
+        let bare = BoCheckpoint::load(&path);
         std::fs::remove_file(&path).ok();
-        if let Ok(cp) = result {
-            // If garbage happens to parse, the invariants still hold.
-            prop_assert_eq!(cp.y.len(), cp.x_unit.len());
-            prop_assert_eq!(cp.failed.len(), cp.x_unit.len());
+        let framed = BoCheckpoint::decode(&[CHECKPOINT_MAGIC.as_slice(), &bytes].concat());
+        // If garbage happens to decode, the invariants still hold.
+        for cp in bare.into_iter().chain(framed.map(|(cp, _)| cp)) {
+            let dim = cp.records.first().map_or(0, |r| r.u.len());
+            for r in &cp.records {
+                prop_assert_eq!(r.u.len(), dim);
+                prop_assert!(r.u.iter().all(|v| v.is_finite()));
+                prop_assert!(r.y().is_none_or(f64::is_finite));
+            }
         }
     }
+}
 
-    /// Any strict prefix of a saved checkpoint (a truncated write) fails to
-    /// load with an error, not a panic or a silently shortened history.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every byte prefix of a saved checkpoint (a torn write), and copies
+    /// with one flipped bit, fail to load only when the damage falls inside
+    /// the magic or the header frame; otherwise they load, unaltered, the
+    /// attempts whose frames end before the damage.
     #[test]
-    fn truncated_checkpoint_errors_cleanly(
+    fn torn_or_flipped_checkpoint_loads_a_record_prefix(
         seed in 0u64..1000,
         n in 1usize..12,
-        cut_frac in 0.0..1.0f64,
+        flips in proptest::collection::vec((0.0..1.0f64, 0u8..8), 16),
     ) {
         let records: Vec<EvalRecord> = (0..n)
             .map(|i| {
@@ -102,23 +116,34 @@ proptest! {
                 }
             })
             .collect();
-        let cp = BoCheckpoint::from_records(seed, &records);
-        let path = std::env::temp_dir().join(format!(
-            "cets_prop_trunc_{}_{}_{}.json",
-            std::process::id(),
-            seed,
-            n
-        ));
-        cp.save(&path).unwrap();
-        let full = std::fs::read_to_string(&path).unwrap();
-        let trimmed = full.trim_end();
-        let cut = ((trimmed.len() as f64) * cut_frac) as usize;
-        // Cut on a char boundary strictly inside the document.
-        let cut = (0..=cut).rev().find(|&c| trimmed.is_char_boundary(c)).unwrap_or(0);
-        std::fs::write(&path, &trimmed[..cut]).unwrap();
-        let result = BoCheckpoint::load(&path);
+        let path = std::env::temp_dir().join(format!("cets_prop_torn_{}_{seed}_{n}.ckpt", std::process::id()));
+        BoCheckpoint::from_records(seed, &records).save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        prop_assert!(result.is_err(), "strict prefix of {} bytes loaded", cut);
+        // Frame ends off the length prefixes: the magic's, the header's,
+        // then each attempt's.
+        let mut ends = vec![CHECKPOINT_MAGIC.len()];
+        while let Some(&at) = ends.last().filter(|&&at| at < bytes.len()) {
+            ends.push(at + 12 + u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize);
+        }
+        prop_assert_eq!(ends.len(), n + 2);
+        let cuts = (0..=bytes.len()).map(|cut| (bytes[..cut].to_vec(), cut));
+        let flipped = flips.iter().map(|&(at, bit)| {
+            let pos = ((bytes.len() as f64) * at) as usize;
+            let mut b = bytes.clone();
+            b[pos] ^= 1 << bit;
+            (b, pos)
+        });
+        for (damaged, at) in cuts.chain(flipped) {
+            match BoCheckpoint::decode(&damaged) {
+                Err(_) => prop_assert!(at < ends[1], "damage at byte {} after the header refused", at),
+                Ok((cp, _)) => {
+                    prop_assert!(at >= ends[1], "damage at byte {} inside the header loaded", at);
+                    let whole = ends[2..].iter().filter(|&&end| end <= at).count();
+                    prop_assert_eq!(&cp.records[..], &records[..whole], "damage at byte {}", at);
+                }
+            }
+        }
     }
 }
 

@@ -6,10 +6,11 @@
 //! (typed failures, watchdog, `VirtualClock`, bit-for-bit resumable
 //! searches) to a per-service substrate:
 //!
-//! * [`wal`] — an append-only, length-prefixed, FNV-checksummed
-//!   write-ahead log with an explicit fsync policy and a recovery reader
-//!   that tolerates torn tails and bit-flips by truncating at the first
-//!   bad record.
+//! * [`wal`] — the service's event records on an append-only,
+//!   length-prefixed, FNV-checksummed write-ahead log. The frame codec,
+//!   the explicit fsync policy and the recovery reader (which tolerates
+//!   torn tails and bit-flips by truncating at the first bad record) are
+//!   `cets_core::framelog`, shared with the BO checkpoint.
 //! * [`spec`] — the campaign job description (JSON, validated by
 //!   `cets-lint`'s `C0xx` family on intake) and the built-in objective
 //!   registry.
@@ -42,6 +43,7 @@ pub mod spec;
 pub mod supervisor;
 pub mod wal;
 
+use cets_core::framelog::LogError;
 pub use recovery::{CampaignPhase, CampaignState, ServiceState, Terminal};
 pub use sim::{run_service, uninterrupted_baseline, SimReport};
 pub use spec::{build_objective, config_hash, CampaignSpec, ServeObjective};
@@ -89,6 +91,16 @@ impl std::error::Error for ServeError {}
 impl From<cets_core::CoreError> for ServeError {
     fn from(e: cets_core::CoreError) -> Self {
         ServeError::Core(e)
+    }
+}
+
+impl From<LogError> for ServeError {
+    fn from(e: LogError) -> Self {
+        match e {
+            LogError::Io(m) => ServeError::Io(m),
+            LogError::Corrupt(m) => ServeError::Corrupt(m),
+            LogError::SimulatedCrash { records } => ServeError::SimulatedCrash { records },
+        }
     }
 }
 

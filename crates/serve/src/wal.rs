@@ -1,93 +1,25 @@
-//! The service write-ahead log.
+//! The service write-ahead log: the [`WalRecord`] vocabulary and its
+//! payloads on `cets-core`'s framed log format ([`cets_core::framelog`],
+//! which owns the frame codec, the prefix reader, tail repair and the
+//! [`FsyncPolicy`]) under the magic `CETSWAL1`.
 //!
-//! ## On-disk format
-//!
-//! ```text
-//! CETSWAL1                              8-byte magic, written at creation
-//! [u32 LE payload length]               per record
-//! [u64 LE FNV-1a of payload]
-//! [payload: one JSON object]
-//! ...
-//! ```
-//!
-//! Payloads are single-key JSON objects (`{"eval_completed": {...}}`) via
-//! the vendored serde facade, whose float formatting is shortest-roundtrip
-//! — values survive the log **bit-exactly**, which is what makes WAL
-//! replay equivalent to in-memory history.
-//!
-//! ## Recovery semantics
-//!
-//! [`read_frames`] scans the log and stops at the first bad frame — a
-//! truncated header, a length pointing past the end of the file (torn
-//! tail), a checksum mismatch (bit-flip), an oversized length, or an
-//! unparseable payload. Everything before the bad frame is returned as
-//! the valid prefix; nothing after it is trusted ("never fabricates a
-//! record"). [`Wal::open`] then *repairs* the file by truncating to the
-//! valid prefix before appending anything new, so a torn tail cannot
-//! corrupt later appends.
-//!
-//! ## Fsync policy
-//!
-//! [`FsyncPolicy::Always`] calls `sync_data` after every append: a record
-//! returned as durable survives `kill -9` and power loss. `Never` leaves
-//! flushing to the OS — faster, still crash-consistent (the reader
-//! truncates at the torn tail), but the last few records may be lost on
-//! power failure. Tests use `Never` plus [`KillSpec`] to simulate both.
+//! Payloads are single-key JSON objects (`{"eval_completed": {...}}`)
+//! whose floats are shortest-roundtrip, so WAL replay is bit-exact.
+//! [`Wal::open`] truncates a torn tail before appending and refuses a
+//! file with another magic, a BO checkpoint included.
 
 use crate::spec::CampaignSpec;
-use crate::{Result, ServeError};
+use crate::Result;
+use cets_core::framelog::{self, FrameLog};
+pub use cets_core::framelog::{encode_frame, fnv1a, FsyncPolicy, KillSpec, RecoveryReport};
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::io::{Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Log file magic: identifies the format and its version.
 pub const WAL_MAGIC: &[u8; 8] = b"CETSWAL1";
 
 /// Conventional WAL file name inside a service data directory.
 pub const WAL_FILE_NAME: &str = "wal.log";
-
-/// Hard cap on a single record payload; a length beyond this is corruption,
-/// not a record.
-pub const MAX_RECORD_LEN: u32 = 64 * 1024 * 1024;
-
-/// Bytes of frame header before the payload (length + checksum).
-const FRAME_HEADER: usize = 4 + 8;
-
-/// FNV-1a 64-bit hash (the WAL record checksum).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// When appended records are forced to stable storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FsyncPolicy {
-    /// `sync_data` after every append: durable against power loss.
-    Always,
-    /// Leave flushing to the OS: crash-consistent but the tail may be
-    /// lost on power failure. Used by tests and simulation.
-    Never,
-}
-
-/// A simulated process kill, injected at the WAL append boundary.
-///
-/// When the log holds `after_records` records and the next append
-/// arrives, the WAL writes only the first `torn_bytes` bytes of the new
-/// frame (simulating a write torn mid-frame by the crash) and returns
-/// [`ServeError::SimulatedCrash`]. Every subsequent append also fails, so
-/// the whole service winds down exactly as if the process had died.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KillSpec {
-    /// Kill once this many records are durable.
-    pub after_records: usize,
-    /// Bytes of the next frame that land on disk before "death" (torn
-    /// write). 0 = clean kill at the record boundary.
-    pub torn_bytes: usize,
-}
 
 /// One durable service event.
 #[derive(Debug, Clone, PartialEq)]
@@ -185,27 +117,15 @@ impl WalRecord {
     }
 }
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 impl Serialize for WalRecord {
     fn serialize(&self) -> Value {
-        let (tag, body) = match self {
+        let (tag, body): (&str, Vec<(&str, Value)>) = match self {
             WalRecord::CampaignSubmitted { spec } => {
-                ("campaign_submitted", obj(vec![("spec", spec.serialize())]))
+                ("campaign_submitted", vec![("spec", spec.serialize())])
             }
             WalRecord::SpoolRejected { file, reason } => (
                 "spool_rejected",
-                obj(vec![
-                    ("file", Value::String(file.clone())),
-                    ("reason", Value::String(reason.clone())),
-                ]),
+                vec![("file", file.serialize()), ("reason", reason.serialize())],
             ),
             WalRecord::EvalCompleted {
                 id,
@@ -215,13 +135,13 @@ impl Serialize for WalRecord {
                 y,
             } => (
                 "eval_completed",
-                obj(vec![
-                    ("id", Value::String(id.clone())),
+                vec![
+                    ("id", id.serialize()),
                     ("stage", stage.serialize()),
                     ("idx", idx.serialize()),
                     ("u", u.serialize()),
                     ("y", y.serialize()),
-                ]),
+                ],
             ),
             WalRecord::EvalFailed {
                 id,
@@ -232,21 +152,18 @@ impl Serialize for WalRecord {
                 message,
             } => (
                 "eval_failed",
-                obj(vec![
-                    ("id", Value::String(id.clone())),
+                vec![
+                    ("id", id.serialize()),
                     ("stage", stage.serialize()),
                     ("idx", idx.serialize()),
                     ("u", u.serialize()),
-                    ("kind", Value::String(kind.clone())),
-                    ("message", Value::String(message.clone())),
-                ]),
+                    ("kind", kind.serialize()),
+                    ("message", message.serialize()),
+                ],
             ),
             WalRecord::StageAdvanced { id, stage } => (
                 "stage_advanced",
-                obj(vec![
-                    ("id", Value::String(id.clone())),
-                    ("stage", stage.serialize()),
-                ]),
+                vec![("id", id.serialize()), ("stage", stage.serialize())],
             ),
             WalRecord::CampaignRestarted {
                 id,
@@ -254,11 +171,11 @@ impl Serialize for WalRecord {
                 reason,
             } => (
                 "campaign_restarted",
-                obj(vec![
-                    ("id", Value::String(id.clone())),
+                vec![
+                    ("id", id.serialize()),
                     ("attempt", attempt.serialize()),
-                    ("reason", Value::String(reason.clone())),
-                ]),
+                    ("reason", reason.serialize()),
+                ],
             ),
             WalRecord::CampaignFinished {
                 id,
@@ -266,51 +183,41 @@ impl Serialize for WalRecord {
                 config_hash,
             } => (
                 "campaign_finished",
-                obj(vec![
-                    ("id", Value::String(id.clone())),
+                vec![
+                    ("id", id.serialize()),
                     ("best_value", best_value.serialize()),
-                    ("config_hash", Value::String(config_hash.clone())),
-                ]),
+                    ("config_hash", config_hash.serialize()),
+                ],
             ),
             WalRecord::CampaignFailed { id, reason } => (
                 "campaign_failed",
-                obj(vec![
-                    ("id", Value::String(id.clone())),
-                    ("reason", Value::String(reason.clone())),
-                ]),
+                vec![("id", id.serialize()), ("reason", reason.serialize())],
             ),
         };
-        Value::Object(vec![(tag.to_string(), body)])
+        let body = body.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
+        Value::Object(vec![(tag.to_string(), Value::Object(body))])
     }
 }
 
 impl Deserialize for WalRecord {
     fn deserialize(v: &Value) -> std::result::Result<Self, DeError> {
         let (tag, body) = v.as_variant()?;
-        let s = |field: &str| -> std::result::Result<String, DeError> {
-            String::deserialize(body.get_field(field))
-                .map_err(|e| DeError(format!("{tag}.{field}: {e}")))
-        };
-        let n = |field: &str| -> std::result::Result<usize, DeError> {
+        let at = |field: &'static str| move |e: DeError| DeError(format!("{tag}.{field}: {e}"));
+        let s = |field: &'static str| String::deserialize(body.get_field(field)).map_err(at(field));
+        let n = |field: &'static str| {
             body.get_field(field)
                 .as_u64()
                 .map(|x| x as usize)
-                .map_err(|e| DeError(format!("{tag}.{field}: {e}")))
+                .map_err(at(field))
         };
-        let f = |field: &str| -> std::result::Result<f64, DeError> {
-            let x = body
-                .get_field(field)
-                .as_f64()
-                .map_err(|e| DeError(format!("{tag}.{field}: {e}")))?;
-            if x.is_nan() && matches!(body.get_field(field), Value::Null) {
-                return Err(DeError(format!("{tag}.{field}: missing")));
-            }
-            Ok(x)
+        let u = || Deserialize::deserialize(body.get_field("u")).map_err(at("u"));
+        let f = |field: &'static str| match body.get_field(field) {
+            Value::Null => Err(DeError(format!("{tag}.{field}: missing"))),
+            x => x.as_f64().map_err(at(field)),
         };
         match tag {
             "campaign_submitted" => Ok(WalRecord::CampaignSubmitted {
-                spec: CampaignSpec::deserialize(body.get_field("spec"))
-                    .map_err(|e| DeError(format!("{tag}.spec: {e}")))?,
+                spec: CampaignSpec::deserialize(body.get_field("spec")).map_err(at("spec"))?,
             }),
             "spool_rejected" => Ok(WalRecord::SpoolRejected {
                 file: s("file")?,
@@ -320,16 +227,14 @@ impl Deserialize for WalRecord {
                 id: s("id")?,
                 stage: n("stage")?,
                 idx: n("idx")?,
-                u: Deserialize::deserialize(body.get_field("u"))
-                    .map_err(|e| DeError(format!("{tag}.u: {e}")))?,
+                u: u()?,
                 y: f("y")?,
             }),
             "eval_failed" => Ok(WalRecord::EvalFailed {
                 id: s("id")?,
                 stage: n("stage")?,
                 idx: n("idx")?,
-                u: Deserialize::deserialize(body.get_field("u"))
-                    .map_err(|e| DeError(format!("{tag}.u: {e}")))?,
+                u: u()?,
                 kind: s("kind")?,
                 message: s("message")?,
             }),
@@ -356,133 +261,17 @@ impl Deserialize for WalRecord {
     }
 }
 
-/// Encode one record as a framed byte sequence (header + JSON payload).
-pub fn encode_frame(rec: &WalRecord) -> Result<Vec<u8>> {
-    let payload = serde_json::to_string(&rec.serialize())
-        .map_err(|e| ServeError::Io(format!("encode WAL record: {e}")))?;
-    let payload = payload.as_bytes();
-    if payload.len() > MAX_RECORD_LEN as usize {
-        return Err(ServeError::Io(format!(
-            "record payload of {} bytes exceeds the {MAX_RECORD_LEN}-byte cap",
-            payload.len()
-        )));
-    }
-    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&fnv1a(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    Ok(frame)
-}
-
-/// What the recovery reader found in a log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Records in the valid prefix.
-    pub records: usize,
-    /// Byte length of the valid prefix (including the magic).
-    pub valid_bytes: u64,
-    /// Why scanning stopped before the end of the file, if it did. The
-    /// bytes past `valid_bytes` are untrusted and are truncated away by
-    /// [`Wal::open`].
-    pub truncated: Option<String>,
-}
-
 /// Decode every valid record from raw log bytes (magic included),
 /// stopping at the first torn or corrupt frame. Pure function of the
 /// bytes — the WAL-robustness proptests drive it directly.
 pub fn read_frames(bytes: &[u8]) -> Result<(Vec<WalRecord>, RecoveryReport)> {
-    if bytes.len() < WAL_MAGIC.len() {
-        // A file created but killed before the magic landed: treat as
-        // empty and let `Wal::open` re-initialize it.
-        return Ok((
-            Vec::new(),
-            RecoveryReport {
-                records: 0,
-                valid_bytes: 0,
-                truncated: (!bytes.is_empty()).then(|| "incomplete file magic".to_string()),
-            },
-        ));
-    }
-    if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        // A complete-but-wrong magic is a foreign file, not a torn tail:
-        // refuse to touch it.
-        return Err(ServeError::Corrupt(
-            "file magic mismatch: not a CETS WAL (refusing to repair or append)".into(),
-        ));
-    }
-    let mut records = Vec::new();
-    let mut pos = WAL_MAGIC.len();
-    let mut truncated = None;
-    while pos < bytes.len() {
-        let rest = &bytes[pos..];
-        if rest.len() < FRAME_HEADER {
-            truncated = Some(format!("torn frame header at byte {pos}"));
-            break;
-        }
-        let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-        if len > MAX_RECORD_LEN as usize {
-            truncated = Some(format!(
-                "frame length {len} at byte {pos} exceeds the record cap"
-            ));
-            break;
-        }
-        if rest.len() < FRAME_HEADER + len {
-            truncated = Some(format!("torn payload at byte {pos}"));
-            break;
-        }
-        let stored = u64::from_le_bytes([
-            rest[4], rest[5], rest[6], rest[7], rest[8], rest[9], rest[10], rest[11],
-        ]);
-        let payload = &rest[FRAME_HEADER..FRAME_HEADER + len];
-        if fnv1a(payload) != stored {
-            truncated = Some(format!("checksum mismatch at byte {pos}"));
-            break;
-        }
-        let text = match std::str::from_utf8(payload) {
-            Ok(t) => t,
-            Err(_) => {
-                truncated = Some(format!("non-UTF-8 payload at byte {pos}"));
-                break;
-            }
-        };
-        let value: Value = match serde_json::from_str(text) {
-            Ok(v) => v,
-            Err(e) => {
-                truncated = Some(format!("unparseable payload at byte {pos}: {e}"));
-                break;
-            }
-        };
-        match WalRecord::deserialize(&value) {
-            Ok(rec) => records.push(rec),
-            Err(e) => {
-                truncated = Some(format!("undecodable record at byte {pos}: {e}"));
-                break;
-            }
-        }
-        pos += FRAME_HEADER + len;
-    }
-    let n = records.len();
-    Ok((
-        records,
-        RecoveryReport {
-            records: n,
-            valid_bytes: pos as u64,
-            truncated,
-        },
-    ))
+    let decoded = framelog::read_frames(bytes, WAL_MAGIC, WalRecord::deserialize);
+    Ok(decoded?)
 }
 
 /// The append-side handle on a service log.
 #[derive(Debug)]
-pub struct Wal {
-    file: std::fs::File,
-    path: PathBuf,
-    fsync: FsyncPolicy,
-    /// Valid records currently in the file.
-    total: usize,
-    kill: Option<KillSpec>,
-    kill_tripped: bool,
-}
+pub struct Wal(FrameLog);
 
 impl Wal {
     /// Open (or create) the log at `path`, repairing any torn tail:
@@ -490,100 +279,43 @@ impl Wal {
     /// and the recovery report. Refuses files whose magic is not a CETS
     /// WAL.
     pub fn open(path: &Path, fsync: FsyncPolicy) -> Result<(Wal, Vec<WalRecord>, RecoveryReport)> {
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(ServeError::Io(format!("read {}: {e}", path.display()))),
-        };
-        let (records, mut report) = read_frames(&bytes)?;
-        let io = |e: std::io::Error| ServeError::Io(format!("{}: {e}", path.display()));
-        let mut file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)
-            .map_err(io)?;
-        if report.valid_bytes == 0 {
-            // Fresh (or pre-magic-torn) file: (re)write the magic.
-            file.set_len(0).map_err(io)?;
-            file.write_all(WAL_MAGIC).map_err(io)?;
-            file.sync_all().map_err(io)?;
-            report.valid_bytes = WAL_MAGIC.len() as u64;
-        } else if (bytes.len() as u64) > report.valid_bytes {
-            // Repair: drop the torn/corrupt tail so later appends start
-            // at a record boundary.
-            file.set_len(report.valid_bytes).map_err(io)?;
-            file.sync_all().map_err(io)?;
-        }
-        file.seek(SeekFrom::End(0)).map_err(io)?;
-        let wal = Wal {
-            file,
-            path: path.to_path_buf(),
-            fsync,
-            total: records.len(),
-            kill: None,
-            kill_tripped: false,
-        };
-        Ok((wal, records, report))
+        let (log, records, report) =
+            FrameLog::open(path, WAL_MAGIC, fsync, WalRecord::deserialize)?;
+        Ok((Wal(log), records, report))
     }
 
     /// Arm a simulated process kill (see [`KillSpec`]).
-    pub fn with_kill(mut self, kill: Option<KillSpec>) -> Self {
-        self.kill = kill;
-        self
+    pub fn with_kill(self, kill: Option<KillSpec>) -> Self {
+        Wal(self.0.with_kill(kill))
     }
 
     /// Has the armed [`KillSpec`] fired?
     pub fn kill_tripped(&self) -> bool {
-        self.kill_tripped
+        self.0.kill_tripped()
     }
 
     /// Valid records currently in the log.
     pub fn len(&self) -> usize {
-        self.total
+        self.0.len()
     }
 
     /// Is the log empty?
     pub fn is_empty(&self) -> bool {
-        self.total == 0
+        self.0.is_empty()
     }
 
     /// Append one record durably (per the fsync policy). Returns the
     /// record's ordinal in the log.
     pub fn append(&mut self, rec: &WalRecord) -> Result<usize> {
-        if self.kill_tripped {
-            return Err(ServeError::SimulatedCrash {
-                records: self.total,
-            });
-        }
-        let frame = encode_frame(rec)?;
-        let io = |e: std::io::Error| ServeError::Io(format!("{}: {e}", self.path.display()));
-        if let Some(kill) = self.kill {
-            if self.total >= kill.after_records {
-                // Simulated death mid-append: the first `torn_bytes` of
-                // the frame land, the rest never will.
-                let torn = kill.torn_bytes.min(frame.len());
-                self.file.write_all(&frame[..torn]).map_err(io)?;
-                self.file.flush().map_err(io)?;
-                self.kill_tripped = true;
-                return Err(ServeError::SimulatedCrash {
-                    records: self.total,
-                });
-            }
-        }
-        self.file.write_all(&frame).map_err(io)?;
-        if self.fsync == FsyncPolicy::Always {
-            self.file.sync_data().map_err(io)?;
-        }
-        self.total += 1;
-        Ok(self.total - 1)
+        Ok(self.0.append(rec)?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ServeError;
+    use std::path::PathBuf;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -700,10 +432,7 @@ mod tests {
         }
         let mut bytes = std::fs::read(&path).unwrap();
         // Flip one bit inside the third record's payload.
-        let (_, clean) = {
-            let (r, rep) = read_frames(&bytes).unwrap();
-            (r, rep)
-        };
+        let (_, clean) = read_frames(&bytes).unwrap();
         assert!(clean.truncated.is_none());
         let flip_at = bytes.len() / 2;
         bytes[flip_at] ^= 0x10;

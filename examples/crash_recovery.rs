@@ -1,6 +1,6 @@
-//! Crash recovery: interrupt a BO search, then resume it from its JSON
-//! checkpoint without repeating any application evaluation — the GPTune
-//! feature the paper relied on, reproduced in CETS.
+//! Crash recovery: interrupt a BO search, then resume it from its
+//! checkpoint log without repeating any application evaluation — the
+//! GPTune feature the paper relied on, reproduced in CETS.
 //!
 //! ```text
 //! cargo run --release --example crash_recovery
@@ -13,11 +13,12 @@ use cets::synthetic::{SyntheticCase, SyntheticFunction};
 fn main() {
     let f = SyntheticFunction::new(SyntheticCase::Case2);
     let sub = Subspace::full(f.space(), f.default_config()).expect("subspace");
-    let ckpt_path = std::env::temp_dir().join("cets_crash_recovery_demo.json");
+    let ckpt_path = std::env::temp_dir().join("cets_crash_recovery_demo.ckpt");
 
     // Phase 1: a search configured for 60 evaluations "crashes" after 20
     // (we emulate the crash by giving it a 20-eval budget; the checkpoint
-    // file is written after every evaluation either way).
+    // log gains one synced frame per evaluation either way, so a real
+    // crash would leave every finished evaluation in it).
     println!("phase 1: running with checkpointing, interrupting after 20 evaluations...");
     let interrupted = BoSearch::new(BoConfig {
         max_evals: 20,
@@ -32,7 +33,8 @@ fn main() {
         interrupted.best_value, interrupted.n_evals
     );
 
-    // Phase 2: a fresh process would load the checkpoint and continue.
+    // Phase 2: a fresh process would load the checkpoint and continue,
+    // appending to the same log.
     let ckpt = BoCheckpoint::load(&ckpt_path).expect("checkpoint exists");
     println!(
         "phase 2: loaded checkpoint with {} completed evaluations, resuming to 60...",
