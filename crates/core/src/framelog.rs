@@ -16,9 +16,9 @@
 //! stops at the first torn, oversized, checksum-damaged or undecodable
 //! frame and never fabricates one. [`FrameLog::open`] truncates the file
 //! to that prefix before appending, so a torn tail cannot corrupt later
-//! appends; under [`FsyncPolicy::Always`] every append is `sync_data`ed
-//! before it returns. [`write_snapshot`] replaces a whole file atomically
-//! and durably.
+//! appends; under [`FsyncPolicy::Always`] creating a log fsyncs its
+//! directory and every append is `sync_data`ed before it returns.
+//! [`write_snapshot`] replaces a whole file atomically and durably.
 
 use crate::CoreError;
 use serde::{DeError, Serialize, Value};
@@ -215,13 +215,17 @@ pub fn write_snapshot(path: &Path, bytes: &[u8]) -> Result<(), LogError> {
     f.write_all(bytes).map_err(io(&tmp))?;
     f.sync_all().map_err(io(&tmp))?;
     std::fs::rename(&tmp, path).map_err(io(path))?;
-    // Directory handles are a Unix notion; elsewhere the rename is as
-    // durable as it gets.
+    sync_parent_dir(path).map_err(io(path.parent().unwrap_or(path)))
+}
+
+/// fsync the directory holding `path`, so that a file created or renamed
+/// there keeps its directory entry through a power loss. Directory
+/// handles are a Unix notion; elsewhere this does nothing, and the entry
+/// is as durable as it gets.
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
     #[cfg(unix)]
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::File::open(dir)
-            .and_then(|d| d.sync_all())
-            .map_err(io(dir))?;
+        std::fs::File::open(dir)?.sync_all()?;
     }
     Ok(())
 }
@@ -241,7 +245,10 @@ pub struct FrameLog {
 impl FrameLog {
     /// Open (or create) the log at `path`, truncating any torn tail:
     /// returns the handle positioned for append, the valid frame prefix
-    /// decoded through `decode`, and the recovery report.
+    /// decoded through `decode`, and the recovery report. Under
+    /// [`FsyncPolicy::Always`], creating the file also fsyncs its
+    /// directory, so the new log's entry survives a power loss together
+    /// with the records synced into it.
     pub fn open<T>(
         path: &Path,
         magic: &[u8; 8],
@@ -249,9 +256,9 @@ impl FrameLog {
         decode: impl FnMut(&Value) -> Result<T, DeError>,
     ) -> Result<(FrameLog, Vec<T>, RecoveryReport), LogError> {
         let io = |e: std::io::Error| LogError::Io(format!("{}: {e}", path.display()));
-        let bytes = match std::fs::read(path) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            read => read.map_err(io)?,
+        let (bytes, created) = match std::fs::read(path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (Vec::new(), true),
+            read => (read.map_err(io)?, false),
         };
         let (records, mut report) = read_frames(&bytes, magic, decode)?;
         let mut file = std::fs::OpenOptions::new()
@@ -266,6 +273,9 @@ impl FrameLog {
             file.set_len(0).map_err(io)?;
             file.write_all(magic).map_err(io)?;
             file.sync_all().map_err(io)?;
+            if created && fsync == FsyncPolicy::Always {
+                sync_parent_dir(path).map_err(io)?;
+            }
             report.valid_bytes = magic.len() as u64;
         } else if (bytes.len() as u64) > report.valid_bytes {
             file.set_len(report.valid_bytes).map_err(io)?;

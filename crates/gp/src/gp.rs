@@ -6,6 +6,7 @@ use crate::{GpError, Result};
 use cets_linalg::{par, Cholesky, Matrix, ParConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::ops::Range;
 
 /// Training configuration for [`Gp::train`].
 #[derive(Debug, Clone)]
@@ -161,15 +162,12 @@ impl Gp {
         let ow = threads.min(starts);
         let iw = (threads / ow).max(1);
 
-        // The per-dimension pairwise squared differences do not depend on
-        // the hyperparameters, so they are computed once here and shared
-        // by every likelihood evaluation of every restart — each
-        // evaluation then builds the kernel matrix with one fused
-        // multiply-add pass over the tensor instead of recomputing all
-        // O(n²d) distances through the generic kernel entry point.
+        // Every likelihood evaluation of every restart rebuilds the pair
+        // distances from one shared dimension-major copy of the inputs,
+        // so training holds O(n·d) input data, not O(n²·d).
         let floor = cfg.noise_floor.max(1e-12);
         let problem = NegLml {
-            tensor: PairTensor::new_with(x, threads),
+            xt: dim_major(x),
             ys,
             kind: cfg.kernel,
             optimize_noise: cfg.optimize_noise,
@@ -291,17 +289,11 @@ impl Gp {
         }
         debug_assert!(xs.iter().all(|p| p.len() == self.kernel.dim()));
         let w = self.kernel.inv_sq_lengthscales();
-        let d = self.kernel.dim();
         // Dimension-major transpose of the queries: the r² accumulation
         // below becomes `d` contiguous element-wise sweeps per training
         // row (independent accumulators, vectorizable) instead of an
         // FP-latency-bound dot product per (i, j) entry.
-        let mut qt = vec![0.0; d * m];
-        for (j, q) in xs.iter().enumerate() {
-            for (k, &v) in q.iter().enumerate() {
-                qt[k * m + j] = v;
-            }
-        }
+        let qt = dim_major(xs);
         let mut kstar = Matrix::zeros(n, m);
         for (i, xi) in self.x.iter().enumerate() {
             let row = kstar.row_mut(i);
@@ -566,108 +558,126 @@ fn gram(x: &[Vec<f64>], kernel: &Kernel) -> Matrix {
     k
 }
 
-/// Per-dimension pairwise squared differences of the training inputs,
-/// laid out dimension-major over the strict lower triangle:
-/// `data[k · P + p] = (x_i[k] − x_j[k])²` where `p` enumerates the pairs
-/// `(i, j), j < i` in row order and `P = n(n−1)/2`.
-///
-/// Hyperparameter training evaluates the log marginal likelihood hundreds
-/// of times per [`Gp::train`] call; the distances never change across
-/// those evaluations, only the length-scale weights do. The
-/// dimension-major layout turns the per-evaluation reduction
-/// `r²_p = Σ_k w_k · data[k][p]` into `d` contiguous axpy sweeps.
-pub(crate) struct PairTensor {
-    data: Vec<f64>,
-    n: usize,
+/// Dimension-major copy of equal-length points: `xt[k·n + j] = x_j[k]`.
+pub(crate) fn dim_major(x: &[Vec<f64>]) -> Vec<f64> {
+    let n = x.len();
+    let d = x.first().map_or(0, Vec::len);
+    let mut xt = vec![0.0; d * n];
+    for (j, row) in x.iter().enumerate() {
+        for (k, &v) in row.iter().enumerate() {
+            xt[k * n + j] = v;
+        }
+    }
+    xt
 }
 
-impl PairTensor {
-    pub(crate) fn new(x: &[Vec<f64>]) -> Self {
-        Self::new_with(x, 1)
-    }
-
-    /// Build the tensor with up to `workers` threads. The dimension-major
-    /// layout makes each dimension's pair block a disjoint contiguous
-    /// slice, so dimensions split across workers with every element
-    /// keeping its single-write sequential arithmetic — bit-identical at
-    /// any worker count.
-    pub(crate) fn new_with(x: &[Vec<f64>], workers: usize) -> Self {
-        let n = x.len();
-        let d = x.first().map_or(0, |r| r.len());
-        let np = n * (n - 1) / 2;
-        let mut data = vec![0.0; d * np];
-        let block = np.max(1);
-        let fill_dim = |dk: &mut [f64], k: usize| {
-            let mut p = 0;
-            for i in 1..n {
-                let xik = x[i][k];
-                for xj in x.iter().take(i) {
-                    let dv = xik - xj[k];
-                    dk[p] = dv * dv;
-                    p += 1;
-                }
-            }
-        };
-        let w = workers.max(1).min(d.max(1));
-        if w <= 1 || np * d < 8192 {
-            for (k, dk) in data.chunks_exact_mut(block).enumerate() {
-                fill_dim(dk, k);
-            }
-        } else {
-            let per = d.div_ceil(w);
-            std::thread::scope(|scope| {
-                for (ci, chunk) in data.chunks_mut(block * per).enumerate() {
-                    let fill_dim = &fill_dim;
-                    scope.spawn(move || {
-                        for (kk, dk) in chunk.chunks_exact_mut(block).enumerate() {
-                            fill_dim(dk, ci * per + kk);
-                        }
-                    });
-                }
-            });
+/// Weighted squared distances of the pairs `(i, j)`, `j < i`, of the rows
+/// `i ∈ rows`: `r2[p] = Σ_k w_k (x_ik − x_jk)²`, where `p` counts those
+/// pairs in row order, read from the dimension-major copy `xt` of `n`
+/// points. Each entry starts at `0.0` and adds `w_k · (Δ · Δ)` in
+/// ascending `k`, so it is bit-identical however a caller splits the
+/// rows. Up to four dimensions share each contiguous, vectorizable sweep
+/// over a row.
+pub(crate) fn weighted_r2_rows(
+    xt: &[f64],
+    n: usize,
+    w: &[f64],
+    rows: Range<usize>,
+    r2: &mut [f64],
+) {
+    for (k0, width) in dim_groups(w.len()) {
+        let rows = rows.clone();
+        match width {
+            1 => r2_group::<1>(xt, n, w, k0, rows, r2),
+            2 => r2_group::<2>(xt, n, w, k0, rows, r2),
+            3 => r2_group::<3>(xt, n, w, k0, rows, r2),
+            _ => r2_group::<4>(xt, n, w, k0, rows, r2),
         }
-        PairTensor { data, n }
     }
+}
 
-    pub(crate) fn n_pairs(&self) -> usize {
-        self.n * (self.n - 1) / 2
-    }
-
-    /// `acc[p] = Σ_k w[k] · data[k][p]` — the fused multiply-add pass.
-    pub(crate) fn weighted_r2(&self, w: &[f64], acc: &mut [f64]) {
-        self.weighted_r2_with(w, acc, 1);
-    }
-
-    /// [`PairTensor::weighted_r2`] with up to `workers` threads. Pair
-    /// chunks are disjoint in `acc` and each element's accumulation stays
-    /// ascending-`k`, so any chunking is bit-identical.
-    pub(crate) fn weighted_r2_with(&self, w: &[f64], acc: &mut [f64], workers: usize) {
-        let np = acc.len();
-        if np == 0 {
-            return;
+/// `Σ_p c_p (x_ik − x_jk)²` over every pair `p = (i, j)`, `j < i`, of the
+/// `n` points in row order, added to `acc[k]` for each dimension `k` in
+/// ascending `p`; `xt` is the dimension-major copy of the points. Up to
+/// four dimensions share each pass over `c`, so their independent sums
+/// overlap instead of each waiting on its last addition.
+fn contract_pairs(xt: &[f64], n: usize, c: &[f64], acc: &mut [f64]) {
+    for (k0, width) in dim_groups(acc.len()) {
+        match width {
+            1 => contract_group::<1>(xt, n, k0, c, acc),
+            2 => contract_group::<2>(xt, n, k0, c, acc),
+            3 => contract_group::<3>(xt, n, k0, c, acc),
+            _ => contract_group::<4>(xt, n, k0, c, acc),
         }
-        let sweep = |chunk: &mut [f64], lo: usize| {
-            chunk.fill(0.0);
-            for (k, &wk) in w.iter().enumerate() {
-                let dk = &self.data[k * np + lo..k * np + lo + chunk.len()];
-                for (a, &t) in chunk.iter_mut().zip(dk) {
-                    *a += wk * t;
-                }
-            }
-        };
-        let ww = if np < 8192 { 1 } else { workers.max(1) };
-        if ww <= 1 {
-            sweep(acc, 0);
-            return;
-        }
-        let per = np.div_ceil(ww);
-        std::thread::scope(|scope| {
-            for (ci, chunk) in acc.chunks_mut(per).enumerate() {
-                let sweep = &sweep;
-                scope.spawn(move || sweep(chunk, ci * per));
-            }
-        });
     }
+}
+
+/// The `d` dimensions as consecutive `(first, width)` groups: the `d mod
+/// 4` leading ones, then fours.
+fn dim_groups(d: usize) -> impl Iterator<Item = (usize, usize)> {
+    let lead = d % 4;
+    (lead > 0)
+        .then_some((0, lead))
+        .into_iter()
+        .chain((lead..d).step_by(4).map(|k0| (k0, 4)))
+}
+
+/// The columns of dimensions `k0..k0 + G` in the dimension-major copy.
+fn columns<const G: usize>(xt: &[f64], n: usize, k0: usize) -> [&[f64]; G] {
+    std::array::from_fn(|q| &xt[(k0 + q) * n..(k0 + q + 1) * n])
+}
+
+/// [`weighted_r2_rows`] for dimensions `k0..k0 + G`; the group at `k0 = 0`
+/// starts each entry at `0.0`.
+#[inline(always)]
+fn r2_group<const G: usize>(
+    xt: &[f64],
+    n: usize,
+    w: &[f64],
+    k0: usize,
+    rows: Range<usize>,
+    r2: &mut [f64],
+) {
+    let cols = columns::<G>(xt, n, k0);
+    let wq: [f64; G] = std::array::from_fn(|q| w[k0 + q]);
+    let mut base = 0;
+    for i in rows {
+        let y: [f64; G] = std::array::from_fn(|q| cols[q][i]);
+        // Slicing every column to the row's length lets the compiler drop
+        // the bounds checks from the loop and vectorize it.
+        let xs: [&[f64]; G] = std::array::from_fn(|q| &cols[q][..i]);
+        let out = &mut r2[base..base + i];
+        for j in 0..i {
+            let mut s = if k0 == 0 { 0.0 } else { out[j] };
+            for q in 0..G {
+                let dv = y[q] - xs[q][j];
+                s += wq[q] * (dv * dv);
+            }
+            out[j] = s;
+        }
+        base += i;
+    }
+}
+
+/// [`contract_pairs`] for dimensions `k0..k0 + G`.
+#[inline(always)]
+fn contract_group<const G: usize>(xt: &[f64], n: usize, k0: usize, c: &[f64], acc: &mut [f64]) {
+    let cols = columns::<G>(xt, n, k0);
+    let mut s: [f64; G] = std::array::from_fn(|q| acc[k0 + q]);
+    let mut base = 0;
+    for i in 1..n {
+        let y: [f64; G] = std::array::from_fn(|q| cols[q][i]);
+        let xs: [&[f64]; G] = std::array::from_fn(|q| &cols[q][..i]);
+        let cr = &c[base..base + i];
+        for j in 0..i {
+            for q in 0..G {
+                let dv = y[q] - xs[q][j];
+                s[q] += cr[j] * (dv * dv);
+            }
+        }
+        base += i;
+    }
+    acc[k0..k0 + G].copy_from_slice(&s);
 }
 
 /// Range of the log noise variance `ln σ_n²` (before the noise floor).
@@ -701,7 +711,8 @@ pub(crate) fn hyperparameters(
 /// `θ = [ln σ², ln ℓ₁.., ln ℓ_d, (ln σ_n²)]`, with its analytic gradient
 /// (Rasmussen & Williams 2006, eq. 5.9).
 struct NegLml {
-    tensor: PairTensor,
+    /// The training inputs, dimension-major ([`dim_major`]).
+    xt: Vec<f64>,
     ys: Vec<f64>,
     kind: KernelKind,
     /// Whether `ln σ_n²` is the last coordinate of `θ`; otherwise the
@@ -752,12 +763,14 @@ impl NegLml {
     /// `−½ Σ_ij W_ij ∂K_ij/∂θ`:
     /// * `ln σ²`: `−½ Σ_ij W_ij (K_ij − σ_n² δ_ij)`;
     /// * `ln σ_n²`: `−½ σ_n² tr W`;
-    /// * `ln ℓ_d`: `2 w_d Σ_{i>j} W_ij σ² g′(r²_ij) t_d,ij` with
-    ///   `w_d = ℓ_d⁻²` and `t_d` the tensor's pair block for dimension `d`.
+    /// * `ln ℓ_d`: `2 w_d Σ_{i>j} W_ij σ² g′(r²_ij) (x_id − x_jd)²` with
+    ///   `w_d = ℓ_d⁻²`.
     ///
-    /// The work is one weighted pair sweep and one profile pass to build
-    /// `K`, one Cholesky, one triangular inverse for `K⁻¹`
-    /// ([`Cholesky::inverse_into`]) and one pair sweep per dimension. The
+    /// The work is one pass over the pairs that rebuilds each `r²` from
+    /// the dimension-major inputs and evaluates the kernel profile, one
+    /// Cholesky, one triangular inverse for `K⁻¹`
+    /// ([`Cholesky::inverse_into`]) and one pass that contracts the
+    /// `W`-weighted slopes against the rebuilt squared differences. The
     /// kernel rebuild and the factorization use up to `workers` threads
     /// with fixed partitions; every reduction runs in a fixed sequential
     /// order, so the result is bit-identical at any worker count.
@@ -773,15 +786,16 @@ impl NegLml {
         scratch: &mut LmlScratch,
         workers: usize,
     ) -> Option<f64> {
-        let n = self.tensor.n;
+        let n = self.ys.len();
         let (kernel, noise) = hyperparameters(self.kind, p, self.optimize_noise, self.noise_floor);
         let w = kernel.inv_sq_lengthscales();
         let LmlScratch { k, k_inv, pairs } = scratch;
-        self.tensor.weighted_r2_with(&w, pairs, workers);
         let diag = kernel.diag_value() + noise;
-        // Row i of K from its packed r² block, which is overwritten by
-        // the slopes σ² g′(r²) the length-scale partials need.
+        // The rows' r² are rebuilt into their packed blocks; row i of K
+        // then comes from its block, which is overwritten by the slopes
+        // σ² g′(r²) the length-scale partials need.
         let fill_rows = |krows: &mut [f64], prs: &mut [f64], lo: usize, hi: usize| {
+            weighted_r2_rows(&self.xt, n, &w, lo..hi, prs);
             let off = lo * lo.saturating_sub(1) / 2;
             for i in lo..hi {
                 let base = i * i.saturating_sub(1) / 2 - off;
@@ -846,11 +860,14 @@ impl NegLml {
             tr_w += ai * ai - inv_row[i];
         }
         grad[0] = -(w_k_off + 0.5 * kernel.variance() * tr_w);
-        let np_ = pairs.len();
-        for (dk, (g, &wd)) in grad[1..].iter_mut().zip(&w).enumerate() {
-            let block = &self.tensor.data[dk * np_..(dk + 1) * np_];
-            let dot: f64 = pairs.iter().zip(block).map(|(&c, &t)| c * t).sum();
-            *g = 2.0 * wd * dot;
+        // The length-scale partials contract the weighted slopes against
+        // the rebuilt squared differences, each from −0.0 as
+        // `Iterator::sum` starts.
+        let ls_grad = &mut grad[1..=w.len()];
+        ls_grad.fill(-0.0);
+        contract_pairs(&self.xt, n, pairs, ls_grad);
+        for (g, &wd) in ls_grad.iter_mut().zip(&w) {
+            *g *= 2.0 * wd;
         }
         if self.optimize_noise {
             grad[p.len() - 1] = -0.5 * noise * tr_w;
@@ -1176,7 +1193,7 @@ mod tests {
         ] {
             for optimize_noise in [true, false] {
                 let problem = NegLml {
-                    tensor: PairTensor::new(&x),
+                    xt: dim_major(&x),
                     ys: ys.clone(),
                     kind,
                     optimize_noise,
@@ -1244,7 +1261,7 @@ mod tests {
             .collect();
         let ys: Vec<f64> = x.iter().map(|v| (5.0 * v[0]).sin() - v[1]).collect();
         let problem = NegLml {
-            tensor: PairTensor::new(&x),
+            xt: dim_major(&x),
             ys,
             kind: KernelKind::Matern52,
             optimize_noise: true,

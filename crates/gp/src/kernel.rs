@@ -90,12 +90,11 @@ impl Kernel {
     /// `r² = Σ w_k (a_k − b_k)²` with `w_k` from
     /// [`Kernel::inv_sq_lengthscales`].
     ///
-    /// This is the fused fast path of the GP hot loop: the caller hoists
-    /// the per-dimension squared differences out of the O(hundreds) of
-    /// likelihood evaluations per [`crate::Gp::train`] and reduces each
-    /// kernel entry to one multiply-add pass plus this profile call. Note
-    /// `w·d²` and `(d/ℓ)²` (what [`Kernel::eval`] computes) can differ in
-    /// the last ulps — callers mixing both paths must not expect
+    /// This is the fused fast path of the GP hot loops: the caller
+    /// accumulates `r²` for many pairs at once in contiguous
+    /// per-dimension sweeps and reduces each kernel entry to this profile
+    /// call. Note `w·d²` and `(d/ℓ)²` (what [`Kernel::eval`] computes) can
+    /// differ in the last ulps — callers mixing both paths must not expect
     /// bit-identical covariances.
     #[inline]
     pub fn eval_r2(&self, r2: f64) -> f64 {

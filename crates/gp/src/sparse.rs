@@ -44,12 +44,16 @@
 //! `mean = wᵀc`, `var = k⋆⋆ − vᵀv + wᵀw` (plus noise, matching the exact
 //! path's convention). The hot per-ELBO products `VVᵀ` and `Vỹ` are
 //! computed via the symmetric [`Matrix::aat`] kernel and one
-//! matrix–vector sweep; `K_mn` itself is rebuilt per evaluation from a
-//! dimension-major copy of the training inputs (the cross-block analogue
-//! of the cached [`PairTensor`] used for `K_mm`), so no `O(n·m·d)` tensor
-//! is ever materialized per hyperparameter step.
+//! matrix–vector sweep. Both kernel blocks are rebuilt per evaluation
+//! from dimension-major copies of the inputs, `K_mm` by the exact tier's
+//! pair sweep over the inducing points and `K_mn` by `d` fused sweeps over
+//! the training inputs, so no `O(m²·d)` or `O(n·m·d)` tensor is ever
+//! materialized: an evaluation's working set is the `m × n` cross block,
+//! the `m × m` factors and the packed inducing-pair `r²`.
 
-use crate::gp::{check_finite, hyperparameters, standardization, Gp, GpConfig, PairTensor};
+use crate::gp::{
+    check_finite, dim_major, hyperparameters, standardization, weighted_r2_rows, Gp, GpConfig,
+};
 use crate::kernel::Kernel;
 use crate::optimize::nelder_mead;
 use crate::{GpError, Result};
@@ -241,22 +245,33 @@ struct SgprCore {
     elbo: f64,
 }
 
-/// Reusable buffers for the hot ELBO evaluations: the `m × n` cross-block
-/// and the `m × m` inducing Gram matrix survive across Nelder–Mead steps.
+/// Reusable buffers for the hot ELBO evaluations: the `m × n` cross-block,
+/// the `m × m` inducing Gram matrix and the packed inducing-pair `r²`
+/// survive across Nelder–Mead steps.
 struct SgprScratch {
     kmn: Matrix,
     kmm: Matrix,
     r2_mm: Vec<f64>,
 }
 
-/// Training-set views shared by every ELBO evaluation: inducing rows, the
-/// cached inducing-pair distance tensor, and a dimension-major copy of
-/// the inputs (`xt[k·n + j] = x_j[k]`) so the `K_mn` rebuild is `d`
-/// contiguous fused sweeps with an L2-resident working set instead of
-/// `O(n·m·d)` strided gathers.
+impl SgprScratch {
+    fn new(m: usize, n: usize) -> Self {
+        SgprScratch {
+            kmn: Matrix::zeros(m, n),
+            kmm: Matrix::zeros(m, m),
+            r2_mm: vec![0.0; m * m.saturating_sub(1) / 2],
+        }
+    }
+}
+
+/// Training-set views shared by every ELBO evaluation: the inducing rows
+/// and dimension-major copies of them (`zt`) and of the inputs (`xt[k·n +
+/// j] = x_j[k]`), so both kernel blocks are rebuilt by contiguous fused
+/// sweeps with an L2-resident working set instead of `O(n·m·d)` strided
+/// gathers.
 struct SgprData<'a> {
     z: &'a [Vec<f64>],
-    z_tensor: &'a PairTensor,
+    zt: &'a [f64],
     xt: &'a [f64],
     n: usize,
 }
@@ -279,8 +294,9 @@ fn sgpr_core(
     let w = kernel.inv_sq_lengthscales();
     let kdiag = kernel.diag_value();
 
-    // K_mm from the cached inducing-pair tensor (m ≪ n: stays serial).
-    data.z_tensor.weighted_r2(&w, &mut scratch.r2_mm);
+    // K_mm from the inducing pairs' r², rebuilt by the exact tier's sweep
+    // (m ≪ n: stays serial).
+    weighted_r2_rows(data.zt, m, &w, 0..m, &mut scratch.r2_mm);
     let kmm = &mut scratch.kmm;
     let mut p = 0;
     for i in 0..m {
@@ -372,18 +388,6 @@ fn sgpr_core(
     })
 }
 
-/// Dimension-major copy of the training inputs.
-fn dim_major(x: &[Vec<f64>], d: usize) -> Vec<f64> {
-    let n = x.len();
-    let mut xt = vec![0.0; d * n];
-    for (j, row) in x.iter().enumerate() {
-        for (k, &v) in row.iter().enumerate() {
-            xt[k * n + j] = v;
-        }
-    }
-    xt
-}
-
 impl SparseGp {
     /// Fit with *fixed* hyperparameters and explicit inducing inputs (no
     /// optimization). `z` is typically a [`select_inducing`] subset of
@@ -433,17 +437,12 @@ impl SparseGp {
         let ys: Vec<f64> = y.iter().map(|&v| (v - y_mean) / y_std).collect();
         let yty: f64 = ys.iter().map(|&v| v * v).sum();
 
-        let z_tensor = PairTensor::new(&z);
-        let xt = dim_major(x, d);
-        let m = z.len();
-        let mut scratch = SgprScratch {
-            kmn: Matrix::zeros(m, n),
-            kmm: Matrix::zeros(m, m),
-            r2_mm: vec![0.0; z_tensor.n_pairs()],
-        };
+        let zt = dim_major(&z);
+        let xt = dim_major(x);
+        let mut scratch = SgprScratch::new(z.len(), n);
         let data = SgprData {
             z: &z,
-            z_tensor: &z_tensor,
+            zt: &zt,
             xt: &xt,
             n,
         };
@@ -509,11 +508,11 @@ impl SparseGp {
         let idx = select_inducing(x, cfg.sparse.m_inducing.max(1));
         let z: Vec<Vec<f64>> = idx.iter().map(|&i| x[i].clone()).collect();
         let m = z.len();
-        let z_tensor = PairTensor::new(&z);
-        let xt = dim_major(x, d);
+        let zt = dim_major(&z);
+        let xt = dim_major(x);
         let data = SgprData {
             z: &z,
-            z_tensor: &z_tensor,
+            zt: &zt,
             xt: &xt,
             n,
         };
@@ -528,11 +527,7 @@ impl SparseGp {
         // One restart: Nelder–Mead from `p0` with its own scratch and its
         // own *raw* ELBO sequence, so restarts can run concurrently.
         let run_start = |p0: &[f64]| -> ((Vec<f64>, f64), Vec<f64>) {
-            let scratch = std::cell::RefCell::new(SgprScratch {
-                kmn: Matrix::zeros(m, n),
-                kmm: Matrix::zeros(m, m),
-                r2_mm: vec![0.0; z_tensor.n_pairs()],
-            });
+            let scratch = std::cell::RefCell::new(SgprScratch::new(m, n));
             let raw = std::cell::RefCell::new(Vec::new());
             let neg_elbo = |p: &[f64]| -> f64 {
                 let (kernel, noise) = hyperparameters(cfg.kernel, p, opt_noise, floor);
@@ -624,8 +619,7 @@ impl SparseGp {
         }
         debug_assert!(xs.iter().all(|p| p.len() == self.kernel.dim()));
         let w = self.kernel.inv_sq_lengthscales();
-        let d = self.kernel.dim();
-        let qt = dim_major(xs, d);
+        let qt = dim_major(xs);
         let mut kstar = Matrix::zeros(m, q);
         for (i, zi) in self.z.iter().enumerate() {
             let row = kstar.row_mut(i);

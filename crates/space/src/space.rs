@@ -204,17 +204,17 @@ impl SearchSpace {
             }
             cfg[i] = Some(v);
         }
-        Ok(cfg.into_iter().map(|v| v.expect("all set")).collect())
+        // `dim` distinct names were set, so every slot holds a value.
+        cfg.into_iter()
+            .collect::<Option<Config>>()
+            .ok_or_else(|| SpaceError::InvalidConfig("a parameter has no value".into()))
     }
 
     /// Render the space definition as a markdown table (parameters,
     /// domains, cardinalities) plus the constraint list — used by tuning
     /// reports.
     pub fn describe_markdown(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        writeln!(s, "| Parameter | Domain | Values |").unwrap();
-        writeln!(s, "|---|---|---|").unwrap();
+        let mut s = String::from("| Parameter | Domain | Values |\n|---|---|---|\n");
         for (name, def) in self.names.iter().zip(&self.defs) {
             let (domain, card) = match def {
                 ParamDef::Real { lo, hi } => (format!("real [{lo}, {hi}]"), "∞".to_string()),
@@ -238,25 +238,15 @@ impl SearchSpace {
                     options.len().to_string(),
                 ),
             };
-            writeln!(s, "| {name} | {domain} | {card} |").unwrap();
+            s += &format!("| {name} | {domain} | {card} |\n");
         }
         if let Some(total) = self.cardinality() {
-            writeln!(
-                s,
-                "
-Unconstrained configurations: {total}"
-            )
-            .unwrap();
+            s += &format!("\nUnconstrained configurations: {total}\n");
         }
         if !self.constraints.is_empty() {
-            writeln!(
-                s,
-                "
-Constraints:"
-            )
-            .unwrap();
+            s += "\nConstraints:\n";
             for c in &self.constraints {
-                writeln!(s, "- **{}**: {}", c.name(), c.description()).unwrap();
+                s += &format!("- **{}**: {}\n", c.name(), c.description());
             }
         }
         s
@@ -414,6 +404,31 @@ mod tests {
         let s = space();
         assert!(s.decode(&[0.5, 0.5]).is_err());
         assert!(s.encode(&vec![ParamValue::Real(0.0)]).is_err());
+    }
+
+    #[test]
+    fn describe_markdown_renders_table_cardinality_and_constraints() {
+        let s = SearchSpace::builder()
+            .integer("tb", 32, 64)
+            .ordinal("u", vec![1.0, 2.5])
+            .categorical("mode", vec!["a".into(), "b".into()])
+            .constraint(Constraint::new("cap", "tb <= 48", |_, _| true))
+            .build();
+        assert_eq!(
+            s.describe_markdown(),
+            "| Parameter | Domain | Values |\n|---|---|---|\n\
+             | tb | integer [32, 64] | 33 |\n\
+             | u | ordinal {1, 2.5} | 2 |\n\
+             | mode | categorical {a, b} | 2 |\n\
+             \nUnconstrained configurations: 132\n\
+             \nConstraints:\n\
+             - **cap**: tb <= 48\n"
+        );
+        let real = SearchSpace::builder().real("x", 0.0, 1.5).build();
+        assert_eq!(
+            real.describe_markdown(),
+            "| Parameter | Domain | Values |\n|---|---|---|\n| x | real [0, 1.5] | ∞ |\n"
+        );
     }
 
     #[test]
