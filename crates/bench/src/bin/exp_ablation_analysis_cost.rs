@@ -14,7 +14,7 @@ use cets_core::{
 };
 use cets_synthetic::{SyntheticCase, SyntheticFunction};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     banner(
         "A3",
         "Sensitivity analysis vs pairwise interaction screen (cost & agreement)",
@@ -25,25 +25,27 @@ fn main() {
     );
     for case in SyntheticCase::all() {
         let f = SyntheticFunction::new(case).with_noise(0.0).as_raw();
-        let baseline = f.space().decode(&[0.6; 20]).unwrap();
+        let baseline = f.space().decode(&[0.6; 20])?;
 
         // Methodology path: per-routine sensitivity.
         let counted = CountingObjective::new(&f);
         let scores =
-            routine_sensitivity(&counted, &baseline, &VariationPolicy::Spread { count: 5 })
-                .expect("sensitivity");
+            routine_sensitivity(&counted, &baseline, &VariationPolicy::Spread { count: 5 })?;
         let sens_obs = counted.count();
         let cross: f64 = (15..20)
-            .map(|p| scores.score_by_name(&format!("x{p}"), "G3").unwrap())
-            .sum::<f64>()
+            .map(|p| {
+                scores
+                    .score_by_name(&format!("x{p}"), "G3")
+                    .ok_or("no G3 score")
+            })
+            .sum::<Result<f64, _>>()?
             / 5.0;
 
         // Classical path: pairwise interaction screen on Group 3's raw
         // output (screening the log-scale total would hide multiplicative
         // couplings: ln(x·y) is additive).
         let counted2 = CountingObjective::new(&f);
-        let inter = pairwise_interactions_on(&counted2, &baseline, |o| o.routines[2])
-            .expect("interactions");
+        let inter = pairwise_interactions_on(&counted2, &baseline, |o| o.routines[2])?;
         let inter_obs = counted2.count();
         // Does the screen flag any (Group 3 var, Group 4 var) pair?
         let mut flagged = 0;
@@ -51,7 +53,7 @@ fn main() {
             for v in 15..20 {
                 if inter
                     .effect_by_name(&format!("x{u}"), &format!("x{v}"))
-                    .unwrap()
+                    .ok_or("no interaction effect")?
                     > 0.05
                 {
                     flagged += 1;
@@ -81,4 +83,5 @@ fn main() {
     println!("Both analyses agree on which cases couple Groups 3 and 4; the");
     println!("sensitivity analysis additionally localizes the influence per routine");
     println!("(needed for the DAG) at roughly half the observations.");
+    Ok(())
 }

@@ -14,7 +14,7 @@ use cets_bench::{banner, mean_std, paper_bo, ExpArgs};
 use cets_core::{execute_plan, Acquisition, PlannedSearch, SearchPlan, SearchTarget};
 use cets_synthetic::{SyntheticCase, SyntheticFunction};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = ExpArgs::parse(3);
     let budget = if args.quick { 30 } else { 100 };
     banner(
@@ -46,8 +46,7 @@ fn main() {
                     budget,
                 }]],
             };
-            let exec =
-                execute_plan(&f, &plan, &paper_bo(700 + rep as u64), 1, None, false).expect("run");
+            let exec = execute_plan(&f, &plan, &paper_bo(700 + rep as u64), 1, None, false)?;
             minima.push(exec.final_value);
         }
         let (m, s) = mean_std(&minima);
@@ -87,7 +86,7 @@ fn main() {
             };
             let mut bo = paper_bo(800 + rep as u64);
             bo.acquisition = acq;
-            let exec = execute_plan(&f, &plan, &bo, 1, None, false).expect("run");
+            let exec = execute_plan(&f, &plan, &bo, 1, None, false)?;
             minima.push(exec.final_value);
         }
         let (m, s) = mean_std(&minima);
@@ -96,4 +95,5 @@ fn main() {
     println!("\nExpected shape: cap 10 ≈ cap 20 or better at this budget (the extra");
     println!("dimensions cost more than they contribute), cap 5 loses access to half");
     println!("the coupled variables; acquisition choice is second-order.");
+    Ok(())
 }

@@ -13,7 +13,7 @@ use cets_bench::{banner, mean_std, paper_bo, ExpArgs};
 use cets_core::{Methodology, MethodologyConfig, Objective, VariationPolicy};
 use cets_synthetic::{SyntheticCase, SyntheticFunction};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = ExpArgs::parse(3);
     let evals_per_dim = if args.quick { 3 } else { 10 };
     banner("A1", "Ablation: influence cut-off sweep (5% - 300%)");
@@ -35,7 +35,7 @@ fn main() {
                 let exec_f = SyntheticFunction::new(case).with_seed(rep as u64);
                 let owners = SyntheticFunction::owners();
                 let pairs = SyntheticFunction::owner_pairs(&owners);
-                let baseline = analysis.space().decode(&[0.6; 20]).unwrap();
+                let baseline = analysis.space().decode(&[0.6; 20])?;
                 let m = Methodology::new(MethodologyConfig {
                     cutoff,
                     max_dims: 10,
@@ -47,7 +47,7 @@ fn main() {
                     evals_per_dim,
                     ..Default::default()
                 });
-                let report = m.analyze(&analysis, &pairs, &baseline).expect("analysis");
+                let report = m.analyze(&analysis, &pairs, &baseline)?;
                 if rep == 0 {
                     let dims: Vec<String> = report
                         .plan
@@ -56,7 +56,7 @@ fn main() {
                         .collect();
                     plan_desc = dims.join("+");
                 }
-                let exec = m.execute(&exec_f, &report).expect("execution");
+                let exec = m.execute(&exec_f, &report)?;
                 minima.push(exec.final_value);
             }
             let (mm, _) = mean_std(&minima);
@@ -75,4 +75,5 @@ fn main() {
     println!("Expected shape: for Cases 1-2 the cut-off barely matters (no real");
     println!("coupling); for Cases 3-5 very high cut-offs miss the G3-G4 merge and");
     println!("give worse minima; very low cut-offs over-merge and dilute the budget.");
+    Ok(())
 }

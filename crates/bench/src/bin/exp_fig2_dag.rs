@@ -5,7 +5,7 @@ use cets_bench::banner;
 use cets_core::{build_graph, routine_sensitivity, Objective, VariationPolicy};
 use cets_synthetic::{SyntheticCase, SyntheticFunction};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     banner(
         "F2",
         "Influence DAG for Case 3 at 25% cut-off (paper Figure 2)",
@@ -13,7 +13,7 @@ fn main() {
     let f = SyntheticFunction::new(SyntheticCase::Case3).as_raw();
     let owners = SyntheticFunction::owners();
     let pairs = SyntheticFunction::owner_pairs(&owners);
-    let baseline = f.space().decode(&[0.6; 20]).unwrap();
+    let baseline = f.space().decode(&[0.6; 20])?;
 
     let scores = routine_sensitivity(
         &f,
@@ -22,16 +22,15 @@ fn main() {
             count: 30,
             factor: 0.10,
         },
-    )
-    .expect("sensitivity");
-    let graph = build_graph(&f, &pairs, &scores).expect("graph");
+    )?;
+    let graph = build_graph(&f, &pairs, &scores)?;
 
     let cutoff = 0.25;
     println!("-- DOT (feed to graphviz: dot -Tpng) --\n");
-    println!("{}", graph.to_dot(cutoff).unwrap());
+    println!("{}", graph.to_dot(cutoff)?);
 
     println!("-- Adjacency at {:.0}% cut-off --", cutoff * 100.0);
-    for e in graph.cross_edges(cutoff).unwrap() {
+    for e in graph.cross_edges(cutoff)? {
         println!(
             "  {} (owned by {}) --{:.0}%--> {}   [CROSS: forces merge]",
             graph.params()[e.param],
@@ -41,7 +40,7 @@ fn main() {
         );
     }
 
-    let part = graph.partition(cutoff, &[]).unwrap();
+    let part = graph.partition(cutoff, &[])?;
     println!("\n-- Resulting partition --");
     for g in part.groups() {
         let names: Vec<&str> = g
@@ -56,4 +55,5 @@ fn main() {
         );
     }
     println!("\n{}", part.to_dot(&graph));
+    Ok(())
 }

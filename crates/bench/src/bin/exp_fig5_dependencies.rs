@@ -7,7 +7,7 @@ use cets_bench::banner;
 use cets_core::{BoConfig, Methodology, MethodologyConfig, Objective, VariationPolicy};
 use cets_tddft::{CaseStudy, TddftSimulator};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     banner(
         "F5",
         "Dependency diagram of the resulting searches (paper Figure 5)",
@@ -29,15 +29,13 @@ fn main() {
         evals_per_dim: 10,
         ..Default::default()
     });
-    let report = m
-        .analyze(&sim, &pairs, &sim.default_config())
-        .expect("analysis");
+    let report = m.analyze(&sim, &pairs, &sim.default_config())?;
 
     println!("-- Influence DAG (10% cut-off) --\n");
-    println!("{}", report.graph.to_dot(0.10).unwrap());
+    println!("{}", report.graph.to_dot(0.10)?);
 
     println!("-- Cross-edges driving the diagram --");
-    for e in report.graph.cross_edges(0.10).unwrap() {
+    for e in report.graph.cross_edges(0.10)? {
         println!(
             "  {:<12} ({} -> {})  {:.0}%",
             report.graph.params()[e.param],
@@ -51,4 +49,5 @@ fn main() {
 
     println!("\n-- Search clusters (precedence + merged groups) --\n");
     println!("{}", report.partition.to_dot(&report.graph));
+    Ok(())
 }

@@ -13,7 +13,7 @@ use cets_core::{
 use cets_space::Subspace;
 use cets_tddft::{CaseStudy, TddftSimulator};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = ExpArgs::parse(1);
     banner(
         "F6",
@@ -42,7 +42,7 @@ fn main() {
         .map(|(p, r)| (p.as_str(), r.as_str()))
         .collect();
     let m = make_methodology();
-    let (report1, exec1) = m.run(&cs1, &pairs, &cs1.default_config()).expect("CS1 run");
+    let (report1, exec1) = m.run(&cs1, &pairs, &cs1.default_config())?;
 
     println!("# Case Study 1 (cold start)");
     for (name, outcome) in &exec1.searches {
@@ -63,44 +63,41 @@ fn main() {
         .plan
         .searches()
         .find(|s| s.name.contains('+'))
-        .expect("merged search")
+        .ok_or("CS1 plan has no merged search")?
         .name
         .clone();
     let (_, merged_outcome) = exec1
         .searches
         .iter()
         .find(|(n, _)| *n == merged_name)
-        .expect("merged outcome");
+        .ok_or("CS1 merged search has no outcome")?;
     let merged_params: Vec<&str> = report1
         .plan
         .searches()
         .find(|s| s.name == merged_name)
-        .unwrap()
+        .ok_or("CS1 merged search vanished")?
         .params
         .iter()
         .map(|p| p.as_str())
         .collect();
 
     // Prior pool from CS1's merged search.
-    let sub1 = Subspace::new(cs1.space(), &merged_params, exec1.final_config.clone())
-        .expect("CS1 subspace");
-    let seed_pool = TransferSeed::from_outcome(&sub1, merged_outcome).expect("seed pool");
+    let sub1 = Subspace::new(cs1.space(), &merged_params, exec1.final_config.clone())?;
+    let seed_pool = TransferSeed::from_outcome(&sub1, merged_outcome)?;
 
     // CS2 cold run for every stage, but the merged search warm-started.
     let m2 = make_methodology();
-    let report2 = m2
-        .analyze(&cs2, &pairs, &cs2.default_config())
-        .expect("CS2 analysis");
-    let exec2 = m2.execute(&cs2, &report2).expect("CS2 cold execution");
+    let report2 = m2.analyze(&cs2, &pairs, &cs2.default_config())?;
+    let exec2 = m2.execute(&cs2, &report2)?;
 
     // Warm-started merged search on CS2 (same budget).
     let merged2 = report2
         .plan
         .searches()
         .find(|s| s.name.contains('+'))
-        .expect("CS2 merged search");
+        .ok_or("CS2 plan has no merged search")?;
     let mp2: Vec<&str> = merged2.params.iter().map(|p| p.as_str()).collect();
-    let sub2 = Subspace::new(cs2.space(), &mp2, exec2.final_config.clone()).expect("CS2 subspace");
+    let sub2 = Subspace::new(cs2.space(), &mp2, exec2.final_config.clone())?;
     let g2g3 = |cfg: &cets_space::Config| {
         let o = cs2.evaluate(cfg);
         o.routines[1] + o.routines[2]
@@ -111,8 +108,7 @@ fn main() {
         b.max_evals = merged2.budget;
         b
     })
-    .run_with_history(&sub2, g2g3, warm_history)
-    .expect("warm search");
+    .run_with_history(&sub2, g2g3, warm_history)?;
 
     println!("# Case Study 2 (cold stages + transfer-seeded merged search)");
     for (name, outcome) in &exec2.searches {
@@ -137,7 +133,7 @@ fn main() {
         .iter()
         .find(|(n, _)| n.contains('+'))
         .map(|(_, o)| o.best_value)
-        .unwrap();
+        .ok_or("CS2 cold run has no merged search")?;
     println!(
         "\n# CS2 merged-search best: cold {:.5} vs transfer-seeded {:.5} ({}{:.1}%)",
         cold_merged,
@@ -149,4 +145,5 @@ fn main() {
         },
         (warm.best_value / cold_merged - 1.0).abs() * 100.0
     );
+    Ok(())
 }

@@ -12,7 +12,7 @@ use cets_bench::{banner, ExpArgs};
 use cets_core::{gather_insights, routine_sensitivity, InsightsConfig, Objective, VariationPolicy};
 use cets_tddft::{CaseStudy, TddftSimulator};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = ExpArgs::parse(1);
     banner("X1", "Parameter insights for RT-TDDFT (paper Section VIII)");
     let n_samples = args.budget(100);
@@ -26,10 +26,9 @@ fn main() {
             &sim,
             &sim.default_config(),
             &VariationPolicy::Spread { count: 5 },
-        )
-        .expect("sensitivity");
+        )?;
         println!("Overall-runtime sensitivity (top 8):");
-        print!("{}", scores.top_k("total", 8).unwrap());
+        print!("{}", scores.top_k("total", 8).ok_or("no total scores")?);
 
         // Feature importance + Pearson over sampled evaluations.
         let insights = gather_insights(
@@ -40,8 +39,7 @@ fn main() {
                 correlation_threshold: 0.4,
                 ..Default::default()
             },
-        )
-        .expect("insights");
+        )?;
 
         println!("\nRandom-forest feature importance (top 8, {n_samples} samples):");
         for (name, v) in insights.ranked_importance().into_iter().take(8) {
@@ -79,4 +77,5 @@ fn main() {
             s.dynamic_range()
         );
     }
+    Ok(())
 }

@@ -19,7 +19,7 @@ fn group_params(prefixes: &[&str]) -> Vec<String> {
         .collect()
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = ExpArgs::parse(5);
     banner(
         "X2",
@@ -57,8 +57,7 @@ fn main() {
                     budget: joint_budget,
                 }]],
             };
-            let je =
-                execute_plan(&sim, &joint_plan, &paper_bo(seed), 1, None, false).expect("joint");
+            let je = execute_plan(&sim, &joint_plan, &paper_bo(seed), 1, None, false)?;
 
             // Independent: G2 with N=30, G3 with N=100, in parallel.
             let split_plan = SearchPlan {
@@ -86,8 +85,7 @@ fn main() {
                 par::global_threads(),
                 None,
                 false,
-            )
-            .expect("split");
+            )?;
 
             // Compare on the joint G2+G3 runtime of the final configs
             // (noise-free evaluation for a clean comparison).
@@ -125,4 +123,5 @@ fn main() {
         );
     }
     println!("Paper reference: joint better by ~1% (CS1) and ~4.6% (CS2) with 100 vs 130 evals.");
+    Ok(())
 }

@@ -13,7 +13,7 @@ use cets_bench::{banner, mean_std, paper_bo, ExpArgs};
 use cets_core::{dropout_bo, rembo, run_strategy, Strategy};
 use cets_synthetic::{SyntheticCase, SyntheticFunction};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = ExpArgs::parse(3);
     let evals_per_dim = if args.quick { 3 } else { 10 };
     let budget = 20 * evals_per_dim; // equal total budget for every method
@@ -38,7 +38,7 @@ fn main() {
         let owners = SyntheticFunction::owners();
         let pairs = SyntheticFunction::owner_pairs(&owners);
 
-        type Runner<'a> = Box<dyn Fn(u64) -> (f64, f64) + 'a>;
+        type Runner<'a> = Box<dyn Fn(u64) -> cets_core::Result<(f64, f64)> + 'a>;
         let methods: Vec<(&str, Runner)> = vec![
             (
                 "REMBO (d=6 embedding)",
@@ -46,8 +46,8 @@ fn main() {
                     let f = SyntheticFunction::new(case).with_seed(seed);
                     let mut bo = paper_bo(900 + seed);
                     bo.max_evals = budget;
-                    let o = rembo(&f, 6, &bo).expect("rembo");
-                    (o.best_value, o.wall_time.as_secs_f64())
+                    let o = rembo(&f, 6, &bo)?;
+                    Ok((o.best_value, o.wall_time.as_secs_f64()))
                 }),
             ),
             (
@@ -56,8 +56,8 @@ fn main() {
                     let f = SyntheticFunction::new(case).with_seed(seed);
                     let mut bo = paper_bo(910 + seed);
                     bo.max_evals = budget;
-                    let o = dropout_bo(&f, 10, &bo).expect("dropout");
-                    (o.best_value, o.wall_time.as_secs_f64())
+                    let o = dropout_bo(&f, 10, &bo)?;
+                    Ok((o.best_value, o.wall_time.as_secs_f64()))
                 }),
             ),
             (
@@ -74,9 +74,8 @@ fn main() {
                         ]),
                         &paper_bo(920 + seed),
                         evals_per_dim,
-                    )
-                    .expect("strategy");
-                    (r.final_value, r.time_s)
+                    )?;
+                    Ok((r.final_value, r.time_s))
                 }),
             ),
         ];
@@ -85,7 +84,7 @@ fn main() {
             let mut minima = Vec::new();
             let mut times = Vec::new();
             for rep in 0..args.reps {
-                let (m, t) = run(rep as u64);
+                let (m, t) = run(rep as u64)?;
                 minima.push(m);
                 times.push(t);
             }
@@ -105,4 +104,5 @@ fn main() {
     println!("Expected shape (paper Section II): the decomposition finds the best");
     println!("minima; REMBO's clipped projections distort the landscape; dropout's");
     println!("random per-iteration subsets converge more slowly at equal budget.");
+    Ok(())
 }

@@ -12,7 +12,7 @@ use cets_core::{
 };
 use cets_stencil::{StencilApp, StencilProblem};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = ExpArgs::parse(3);
     let evals_per_dim = if args.quick { 3 } else { 10 };
     banner("G1", "Methodology generality: distributed 3D stencil");
@@ -32,9 +32,7 @@ fn main() {
         evals_per_dim,
         ..Default::default()
     });
-    let report = m
-        .analyze(&app, &pairs, &app.default_config())
-        .expect("analysis");
+    let report = m.analyze(&app, &pairs, &app.default_config())?;
     println!("Suggested plan:\n{}", report.plan.describe());
 
     // --- Strategy comparison (the GPU-kernel routines only; Decomp is a
@@ -73,8 +71,7 @@ fn main() {
                 &strategy,
                 &paper_bo(40 + rep as u64),
                 evals_per_dim,
-            )
-            .expect("strategy");
+            )?;
             // Score on the clean simulator.
             let clean = StencilApp::new(StencilProblem::benchmark()).with_noise(0.0);
             finals.push(clean.evaluate(&r.final_config).total);
@@ -95,4 +92,5 @@ fn main() {
     println!("Expected shape: the merged Compute+Halo search exploits the deep-halo");
     println!("trade that independent searches mis-tune (Halo alone prefers the");
     println!("deepest halo; Compute alone the shallowest).");
+    Ok(())
 }

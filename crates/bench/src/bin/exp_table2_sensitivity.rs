@@ -13,7 +13,7 @@ use cets_synthetic::{SyntheticCase, SyntheticFunction};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = ExpArgs::parse(1);
     banner(
         "T2",
@@ -28,7 +28,7 @@ fn main() {
         // Random baseline (paper: "a baseline configuration was randomly
         // selected") — fixed seed for reproducibility.
         let mut rng = StdRng::seed_from_u64(2024);
-        let baseline = Sampler::new(f.space()).uniform(&mut rng).unwrap();
+        let baseline = Sampler::new(f.space()).uniform(&mut rng)?;
         let scores = routine_sensitivity(
             &f,
             &baseline,
@@ -36,9 +36,8 @@ fn main() {
                 count,
                 factor: 0.10,
             },
-        )
-        .expect("sensitivity");
-        let table = scores.top_k("G3", 10).unwrap();
+        )?;
+        let table = scores.top_k("G3", 10).ok_or("no G3 scores")?;
         columns.push(table.rows);
     }
 
@@ -96,4 +95,5 @@ fn main() {
             cross / own.max(1e-12)
         );
     }
+    Ok(())
 }

@@ -17,7 +17,7 @@ use cets_bench::{banner, mean_std, paper_bo, ExpArgs};
 use cets_core::{run_strategy, Strategy};
 use cets_synthetic::{SyntheticCase, SyntheticFunction};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = ExpArgs::parse(5);
     let evals_per_dim = if args.quick { 3 } else { 10 };
     banner(
@@ -72,8 +72,7 @@ fn main() {
                     strategy,
                     &paper_bo(1000 * (case.index() as u64 + 1) + rep as u64),
                     evals_per_dim,
-                )
-                .expect("strategy");
+                )?;
                 minima.push(r.final_value);
                 times.push(r.time_s);
             }
@@ -99,4 +98,5 @@ fn main() {
     println!("the 20-dim joint search is by far the slowest and barely beats random;");
     println!("the split/independent strategies find the best minima, with the");
     println!("G3+G4 merge paying off in the interdependent cases (3-5).");
+    Ok(())
 }

@@ -8,10 +8,10 @@
 use cets_bench::{banner, tddft_sensitivity_table};
 use cets_tddft::{CaseStudy, TddftSimulator};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     banner(
         "T5",
         "Per-routine sensitivity, TDDFT Case Study 1 (paper Table V)",
     );
-    tddft_sensitivity_table(TddftSimulator::new(CaseStudy::case1()));
+    tddft_sensitivity_table(TddftSimulator::new(CaseStudy::case1()))
 }

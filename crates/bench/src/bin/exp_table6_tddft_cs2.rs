@@ -5,10 +5,10 @@
 use cets_bench::{banner, tddft_sensitivity_table};
 use cets_tddft::{CaseStudy, TddftSimulator};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     banner(
         "T6",
         "Per-routine sensitivity, TDDFT Case Study 2 (paper Table VI)",
     );
-    tddft_sensitivity_table(TddftSimulator::new(CaseStudy::case2()));
+    tddft_sensitivity_table(TddftSimulator::new(CaseStudy::case2()))
 }

@@ -9,7 +9,7 @@ use cets_bench::banner;
 use cets_core::{BoConfig, Methodology, MethodologyConfig, Objective, VariationPolicy};
 use cets_tddft::{CaseStudy, TddftSimulator};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     banner(
         "T7",
         "Final set of lower-dimensional searches (paper Table VII)",
@@ -32,9 +32,7 @@ fn main() {
             evals_per_dim: 10,
             ..Default::default()
         });
-        let report = m
-            .analyze(&sim, &pairs, &sim.default_config())
-            .expect("analysis");
+        let report = m.analyze(&sim, &pairs, &sim.default_config())?;
         println!("{}", report.plan.describe());
         println!(
             "total budget: {} evaluations across {} searches\n",
@@ -49,4 +47,5 @@ fn main() {
     println!("  Group 2+3  10   u_PAIR, tb_sm_PAIR, tb_PAIR, u_ZCOPY, tb_ZCOPY,");
     println!("                  tb_sm_ZCOPY, u_DSCAL, tb_DSCAL, tb_sm_DSCAL, u_ZVEC");
     println!("                  (tb_zvec, tb_sm_zvec dropped by the 10-dim cap)");
+    Ok(())
 }

@@ -78,21 +78,24 @@ pub fn paper_bo(seed: u64) -> BoConfig {
 /// Shared driver for the Table V / Table VI experiments: print the
 /// per-routine top-10 sensitivity tables for one TDDFT case study plus the
 /// paper-shape checks.
-pub fn tddft_sensitivity_table(sim: TddftSimulator) {
+pub fn tddft_sensitivity_table(sim: TddftSimulator) -> Result<(), Box<dyn std::error::Error>> {
     println!("{}\n", sim.case().name);
     let baseline = sim.default_config();
-    let scores = routine_sensitivity(&sim, &baseline, &VariationPolicy::Spread { count: 5 })
-        .expect("sensitivity");
+    let scores = routine_sensitivity(&sim, &baseline, &VariationPolicy::Spread { count: 5 })?;
     println!(
         "observation cost: {} application evaluations (1 + 20 params × 5 variations)\n",
         scores.observation_cost()
     );
 
     let routines = ["G1", "G2", "G3", "Slater"];
-    let tables: Vec<_> = routines
+    let tables = routines
         .iter()
-        .map(|r| scores.top_k(r, 10).unwrap())
-        .collect();
+        .map(|r| {
+            scores
+                .top_k(r, 10)
+                .ok_or(format!("no scores for routine {r}"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
 
     println!(
         "{:<24} {:<24} {:<24} {:<24}",
@@ -112,26 +115,31 @@ pub fn tddft_sensitivity_table(sim: TddftSimulator) {
     }
 
     println!("\nShape checks against the paper:");
-    let s = |p: &str, r: &str| scores.score_by_name(p, r).unwrap();
+    let s = |p: &str, r: &str| {
+        scores
+            .score_by_name(p, r)
+            .ok_or(format!("no score for {p} on {r}"))
+    };
     println!(
         "  nbatches dominates G1/G2/G3:    {:.0}% / {:.0}% / {:.0}%  (paper CS1: 357/321/95)",
-        s("nbatches", "G1") * 100.0,
-        s("nbatches", "G2") * 100.0,
-        s("nbatches", "G3") * 100.0
+        s("nbatches", "G1")? * 100.0,
+        s("nbatches", "G2")? * 100.0,
+        s("nbatches", "G3")? * 100.0
     );
     println!(
         "  nstb on Slater:                 {:.0}%  (paper CS1: 88%)",
-        s("nstb", "Slater") * 100.0
+        s("nstb", "Slater")? * 100.0
     );
     println!(
         "  tb_sm_pair cross-influences G3: {:.0}%  (paper CS1: 76%)  — the cache effect",
-        s("tb_sm_pair", "G3") * 100.0
+        s("tb_sm_pair", "G3")? * 100.0
     );
     println!(
         "  tb_zcopy on G3 vs G1:           {:.0}% vs {:.0}%  (shared kernel, G3 wins)",
-        s("tb_zcopy", "G3") * 100.0,
-        s("tb_zcopy", "G1") * 100.0
+        s("tb_zcopy", "G3")? * 100.0,
+        s("tb_zcopy", "G1")? * 100.0
     );
+    Ok(())
 }
 
 /// Mean and sample standard deviation.

@@ -348,8 +348,8 @@ impl BoSearch {
 
     /// Acquisition optimization: random candidates + local refinement.
     ///
-    /// Public so benchmark harnesses (`perf_suite`) and alternative search
-    /// loops can time/reuse the exact proposal step the BO loop runs; the
+    /// Public so benchmark harnesses and alternative search loops can
+    /// time/reuse the exact proposal step the BO loop runs; the
     /// candidate pool is drawn from `rng` exactly as in [`BoSearch::run`].
     /// Takes the tiered [`Surrogate`]; wrap a bare [`cets_gp::Gp`] in
     /// [`Surrogate::Exact`] to reproduce the pre-tier behavior

@@ -19,8 +19,9 @@
 //! D** versus the sensitivity analysis's linear `1 + D×V`. For the paper's
 //! `D = 20` that is 211 evaluations per level against 101 for `V = 5`, and
 //! the gap widens with more levels or more parameters; this is the
-//! concrete cost the methodology avoids. Run `cargo bench -p cets-bench
-//! --bench sensitivity_cost` for the measured comparison.
+//! concrete cost the methodology avoids. Run `cargo run --release -p
+//! cets-bench --bin exp_ablation_analysis_cost` for the measured
+//! comparison.
 
 use crate::objective::Objective;
 use crate::Result;

@@ -30,7 +30,6 @@
 
 pub mod bo;
 pub mod checkpoint;
-pub mod construct;
 pub mod contraction;
 pub mod db;
 pub mod framelog;
@@ -52,7 +51,6 @@ pub use bo::{
     Acquisition, BoConfig, BoSearch, FailurePolicy, Imputation, ResilientOutcome, SearchOutcome,
 };
 pub use checkpoint::BoCheckpoint;
-pub use construct::ConstructiveSampler;
 pub use contraction::{
     active_unit_box, active_unit_slabs, contracted_unit_box, contracted_unit_slabs,
     contraction_aware_sampler,

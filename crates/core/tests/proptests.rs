@@ -375,105 +375,6 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Constructive sampling invariant: over random coupled + disjunctive
-    /// integer spaces, every successful draw satisfies every constraint,
-    /// and the draw stream is bit-deterministic under a fixed seed.
-    #[test]
-    fn constructive_draws_are_feasible_and_deterministic(
-        seed in 0u64..u64::MAX,
-        lo_a in 0i64..20,
-        span_a in 4i64..30,
-        lo_b in 0i64..20,
-        span_b in 4i64..30,
-        slack in 0i64..20,
-    ) {
-        use cets_space::Constraint;
-        use rand::SeedableRng;
-
-        let (hi_a, hi_b) = (lo_a + span_a, lo_b + span_b);
-        // Budget chosen so at least (lo_a, lo_b) is feasible.
-        let cap = lo_a + lo_b + slack;
-        // Disjunctive band on `a`, guaranteed to include lo_a.
-        let cut_lo = lo_a + span_a / 4;
-        let cut_hi = hi_a - span_a / 4;
-        let space = SearchSpace::builder()
-            .integer("a", lo_a, hi_a)
-            .integer("b", lo_b, hi_b)
-            .constraint(Constraint::new(
-                "budget",
-                format!("a + b <= {cap}"),
-                move |s, c| s.get_i64(c, "a").unwrap() + s.get_i64(c, "b").unwrap() <= cap,
-            ))
-            .constraint(Constraint::new(
-                "band",
-                format!("a <= {cut_lo} || a >= {cut_hi}"),
-                move |s, c| {
-                    let a = s.get_i64(c, "a").unwrap();
-                    a <= cut_lo || a >= cut_hi
-                },
-            ))
-            .build();
-
-        let Some(sam) = cets_core::ConstructiveSampler::new(&space) else {
-            // Statically empty systems are allowed to refuse a sampler.
-            return Ok(());
-        };
-        let draw = |s: u64| -> Vec<Option<cets_space::Config>> {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(s);
-            (0..30).map(|_| sam.sample(&mut rng)).collect()
-        };
-        for cfg in draw(seed).into_iter().flatten() {
-            prop_assert!(space.is_valid(&cfg), "infeasible draw {cfg:?}");
-        }
-        prop_assert_eq!(draw(seed), draw(seed));
-    }
-
-    /// Stride-aware constructive sampling: for a random modulus/residue
-    /// divisor constraint over a random integer box, every draw lands
-    /// exactly on the congruence grid (no rejection involved), stays in
-    /// bounds, and the stream is bit-deterministic under a fixed seed.
-    #[test]
-    fn stride_aware_draws_land_on_the_grid(
-        seed in 0u64..u64::MAX,
-        m in 2i64..64,
-        r_raw in 0i64..64,
-        lo in 0i64..1000,
-        span in 200i64..20_000,
-    ) {
-        use cets_space::Constraint;
-        use rand::SeedableRng;
-
-        let r = r_raw % m;
-        let hi = lo + span;
-        // span ≥ 200 > 3·m guarantees at least one grid member in the box.
-        let space = SearchSpace::builder()
-            .integer("n", lo, hi)
-            .constraint(Constraint::new(
-                "grid",
-                format!("n % {m} == {r}"),
-                move |s, c| s.get_i64(c, "n").unwrap() % m == r,
-            ))
-            .build();
-
-        let sam = cets_core::ConstructiveSampler::new(&space)
-            .expect("a grid member exists in the box");
-        let draw = |s: u64| -> Vec<Option<cets_space::Config>> {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(s);
-            (0..50).map(|_| sam.sample(&mut rng)).collect()
-        };
-        for (i, cfg) in draw(seed).into_iter().enumerate() {
-            let cfg = cfg.unwrap_or_else(|| panic!("draw {i} failed"));
-            let v = space.get_i64(&cfg, "n").unwrap();
-            prop_assert!(v % m == r, "draw {} = {} off the grid {}ℤ+{}", i, v, m, r);
-            prop_assert!((lo..=hi).contains(&v), "draw {} = {} out of bounds", i, v);
-        }
-        prop_assert_eq!(draw(seed), draw(seed));
-    }
-}
-
-proptest! {
     // Full double-BO-runs per case: keep the case count modest.
     #![proptest_config(ProptestConfig::with_cases(6))]
 

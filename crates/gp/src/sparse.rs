@@ -105,8 +105,8 @@ impl TierPolicy {
 
 impl Default for TierPolicy {
     fn default() -> Self {
-        // Exact GPs are already impractical well before 512 points
-        // (BENCH_bo.json: ~16 s per train at n = 500); every historical
+        // Exact GPs are already impractical well before 512 points (each
+        // likelihood evaluation is an O(n³) Cholesky); every historical
         // code path (searches of ≲100 evaluations) stays exact and
         // bit-identical under this default.
         TierPolicy::Auto { threshold: 512 }

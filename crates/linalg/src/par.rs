@@ -79,8 +79,7 @@ impl ParConfig {
 /// 0 = not yet resolved; any other value is the cached/overridden count.
 static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Detected hardware parallelism, failing soft to 1 (the same value
-/// `perf_suite` records as `threads_available`).
+/// Detected hardware parallelism, failing soft to 1.
 pub fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())

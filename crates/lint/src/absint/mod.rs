@@ -22,8 +22,6 @@
 //!   value against every disjunctive branch;
 //! * [`split`] — disjunctive branch-and-prune over `Or` nodes, joining
 //!   per-branch fixpoints into unions of feasible slabs;
-//! * [`project`] — conditional projection `project(var, fixed)` powering
-//!   constructive (rejection-free) sampling in `cets-core`;
 //! * this module — the [`analyze_space`] / [`analyze_space_with`] driver
 //!   that classifies every constraint (*proved-unsat* / *tautological* /
 //!   *contingent*), runs the contraction in the configured [`Domain`],
@@ -38,7 +36,6 @@ pub mod congruence;
 pub mod contract;
 pub mod interval;
 pub mod octagon;
-pub mod project;
 pub mod split;
 
 pub use congruence::Congruence;
@@ -48,7 +45,6 @@ pub use contract::{
 };
 pub use interval::Interval;
 pub use octagon::{octagonal_atoms, OctAtom, Octagon};
-pub use project::Projector;
 pub use split::{dnf_branches, SPLIT_CAP};
 
 use crate::bundle::PlanBundle;
@@ -206,8 +202,7 @@ pub struct ParamInterval {
     pub tightened: Option<ParamDef>,
     /// Congruence fact proved for this (integer) parameter under
     /// [`Domain::Product`]: the feasible values lie on the grid
-    /// `m·ℤ + r`, stride `m ≥ 2`. Drives the `A009` diagnostic and the
-    /// stride-aware constructive sampler.
+    /// `m·ℤ + r`, stride `m ≥ 2`. Drives the `A009` diagnostic.
     pub stride: Option<(u64, u64)>,
     /// Exact feasible value subset (indices into the declared
     /// ordinal-value / categorical-option list) proved by the finite-set

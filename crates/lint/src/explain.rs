@@ -201,7 +201,7 @@ pub const CODES: &[CodeEntry] = &[
                       members and only one value in m is feasible, which rejection \
                       sampling cannot see.",
         example: "`n % 256 == 0` over [1, 100000] snaps to [256, 99840], stride 256",
-        remediation: "use the constructive sampler (stride-aware) or contract the plan",
+        remediation: "contract the plan, or supply a grid-aware application sampler",
     },
     CodeEntry {
         code: "A010",

@@ -288,8 +288,8 @@ impl Lint for Feasibility {
                             ),
                         )
                         .with_help(
-                            "the constructive sampler walks the residue grid directly; \
-                             plain rejection discards (m-1)/m of its draws",
+                            "plain rejection discards (m-1)/m of its draws; an application \
+                             sampler (`Objective::sample_valid`) can walk the grid directly",
                         ),
                     );
                 }

@@ -2,9 +2,11 @@
 //! synthetic functions (small budgets — the full-budget reproduction lives
 //! in `cets-bench`).
 
+use cets_core::framelog::fnv1a;
 use cets_core::{
     run_strategy, BoConfig, Methodology, MethodologyConfig, Objective, Strategy, VariationPolicy,
 };
+use cets_linalg::ParConfig;
 use cets_synthetic::{SyntheticCase, SyntheticFunction};
 
 fn quick_bo(seed: u64) -> BoConfig {
@@ -82,6 +84,46 @@ fn methodology_beats_defaults_and_handles_case4() {
     );
     // Budget bookkeeping: 5+5 dims independent + 10 merged, 4 evals/dim.
     assert_eq!(exec.total_evals, 4 * 20);
+}
+
+/// Trajectory pin: a full `Methodology::run` on Case 3 reaches the same
+/// winning configuration, to the objective's last bit, at one and two
+/// workers, and that result is the recorded one. A mismatch between the
+/// worker counts breaks the compute layer's bit-identity promise; a
+/// mismatch with the recorded hash means a search trajectory moved.
+#[test]
+fn final_config_hash_is_pinned_at_any_worker_count() {
+    let obj = SyntheticFunction::new(SyntheticCase::Case3);
+    let owners = SyntheticFunction::owners();
+    let pairs = SyntheticFunction::owner_pairs(&owners);
+    for threads in [1, 2] {
+        let m = Methodology::new(MethodologyConfig {
+            cutoff: 0.25,
+            max_dims: 5,
+            variation_policy: VariationPolicy::Spread { count: 5 },
+            bo: BoConfig {
+                seed: 42,
+                ..Default::default()
+            },
+            evals_per_dim: 2,
+            par: ParConfig::fixed(threads),
+            ..Default::default()
+        });
+        let (_report, exec) = m.run(&obj, &pairs, &obj.default_config()).unwrap();
+        let hash = fnv1a(
+            format!(
+                "{:?}|{:016x}",
+                exec.final_config,
+                exec.final_value.to_bits()
+            )
+            .as_bytes(),
+        );
+        assert_eq!(
+            format!("{hash:016x}"),
+            "7911f619034c9021",
+            "final configuration moved at {threads} worker(s)"
+        );
+    }
 }
 
 /// Strategy comparison smoke test (Table III in miniature): all four
