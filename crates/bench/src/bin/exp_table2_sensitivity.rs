@@ -8,7 +8,7 @@
 
 use cets_bench::{banner, ExpArgs};
 use cets_core::{routine_sensitivity, Objective, VariationPolicy};
-use cets_space::Sampler;
+use cets_space::draw_feasible;
 use cets_synthetic::{SyntheticCase, SyntheticFunction};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,7 +28,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Random baseline (paper: "a baseline configuration was randomly
         // selected") — fixed seed for reproducibility.
         let mut rng = StdRng::seed_from_u64(2024);
-        let baseline = Sampler::new(f.space()).uniform(&mut rng)?;
+        let space = f.space();
+        let cube = vec![vec![(0.0, 1.0)]; space.dim()];
+        let baseline = draw_feasible(&cube, &mut rng, |u| {
+            space.decode(&u).ok().filter(|c| space.is_valid(c))
+        })?;
         let scores = routine_sensitivity(
             &f,
             &baseline,

@@ -23,7 +23,7 @@ use crate::objective::Observation;
 use crate::resilience::{splitmix64, EvalOutcome, EvalRecord};
 use crate::{CoreError, Result};
 use cets_gp::{GpConfig, Surrogate};
-use cets_space::{Config, SpaceError, Subspace};
+use cets_space::{draw_feasible, Config, Subspace};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::path::PathBuf;
@@ -321,31 +321,6 @@ impl BoSearch {
         }
     }
 
-    fn sample_valid_unit(
-        &self,
-        subspace: &Subspace,
-        uslabs: &[Vec<(f64, f64)>],
-        rng: &mut StdRng,
-    ) -> Result<Vec<f64>> {
-        // Rejection sampling directly in the active unit cube so frozen
-        // dimensions stay at their defaults. Draws come from the
-        // contraction-aware slab unions (see [`crate::contraction`]), so
-        // heavily constrained spaces burn far fewer of the 10 000 attempts
-        // on points the static analysis already proved infeasible.
-        for _ in 0..10_000 {
-            let u: Vec<f64> = uslabs
-                .iter()
-                .map(|s| cets_space::map_slabs(s, rng.random::<f64>()))
-                .collect();
-            if subspace.is_valid_active(&u) {
-                return Ok(u);
-            }
-        }
-        Err(CoreError::Space(SpaceError::SamplingExhausted {
-            attempts: 10_000,
-        }))
-    }
-
     /// Acquisition optimization: random candidates + local refinement.
     ///
     /// Public so benchmark harnesses and alternative search loops can
@@ -382,7 +357,9 @@ impl BoSearch {
         // search trajectory) is independent of how the pool is scored.
         let mut pool: Vec<Vec<f64>> = Vec::with_capacity(cfg.n_candidates);
         for _ in 0..cfg.n_candidates {
-            pool.push(self.sample_valid_unit(subspace, uslabs, rng)?);
+            pool.push(draw_feasible(uslabs, rng, |u| {
+                subspace.is_valid_active(&u).then_some(u)
+            })?);
         }
         if pool.is_empty() {
             return Err(CoreError::SearchStalled("no candidates".into()));
@@ -866,7 +843,9 @@ impl BoSearch {
             let u_next = match &model {
                 // No successful observation yet: keep exploring at random
                 // until one lands (bounded by budget and max_failures).
-                None => self.sample_valid_unit(subspace, &uslabs, &mut rng)?,
+                None => draw_feasible(&uslabs, &mut rng, |u| {
+                    subspace.is_valid_active(&u).then_some(u)
+                })?,
                 Some(m) => {
                     // Incumbent over *observed* successes, never imputed
                     // values.
@@ -1049,7 +1028,9 @@ impl BoSearch {
                 // points needed fallbacks.
                 let mut point_rng =
                     StdRng::seed_from_u64(splitmix64(self.config.seed ^ LHS_SALT ^ (i as u64 + 1)));
-                self.sample_valid_unit(subspace, uslabs, &mut point_rng)?
+                draw_feasible(uslabs, &mut point_rng, |u| {
+                    subspace.is_valid_active(&u).then_some(u)
+                })?
             };
             design.push(u);
         }
@@ -1489,7 +1470,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(records.len() as u64));
             let (xs, ys) = policy.training_data(&records);
             let u_next = if xs.is_empty() {
-                search.sample_valid_unit(&sub, &uslabs, &mut rng).unwrap()
+                draw_feasible(&uslabs, &mut rng, |u| sub.is_valid_active(&u).then_some(u)).unwrap()
             } else {
                 let mut gp_cfg = cfg.gp.clone();
                 gp_cfg.seed = cfg.seed.wrapping_add(records.len() as u64);

@@ -1,48 +1,123 @@
 //! Contraction-aware sampling: feed `cets-lint`'s statically contracted
-//! box into the default sampling paths.
+//! domains into every search's draws.
 //!
 //! The abstract-interpretation engine ([`cets_lint::analyze_space`]) proves
 //! which slice of each parameter's declared domain can possibly satisfy the
 //! constraint conjunction. Rejection samplers that draw from the *full*
 //! box waste almost every attempt on heavily constrained spaces (the
 //! paper's RT-TDDFT space accepts ~0.0005 % of blind draws); drawing from
-//! the contracted box instead raises the hit rate without excluding any
-//! feasible configuration, because the contraction is sound.
+//! the contracted domains instead raises the hit rate without excluding
+//! any feasible configuration, because the contraction is sound.
 //!
-//! This module maps contracted domain intervals into the **unit-cube
-//! coordinates** the samplers actually draw in (see
-//! [`cets_space::Sampler::with_unit_box`]) and wires the result into:
+//! This module maps the analysis into one per-dimension list of
+//! **unit-cube slabs** ([`contracted_unit_slabs`]) that every search draws
+//! from through [`cets_space::draw_feasible`]:
 //!
-//! * [`crate::BoSearch`]'s candidate rejection loop (`sample_valid_unit`),
-//! * [`crate::random_search()`] and [`crate::gather_insights`]'s fallback
-//!   samplers — the default path behind [`crate::Objective::sample_valid`].
+//! * [`crate::BoSearch`]'s initial design and candidate pool, over
+//!   [`active_unit_slabs`];
+//! * [`crate::random_search()`], [`crate::gather_insights`] and
+//!   [`crate::dropout_bo`], through `draw_config`, the default path behind
+//!   [`crate::Objective::sample_valid`].
 //!
-//! All mappings round **outward**, so a box is never narrower than the
-//! proof allows; unconstrained (or unanalyzable) spaces yield the full
-//! cube, which is bit-identical to the pre-contraction sampling behavior.
+//! All mappings round **outward**, so a slab is never narrower than the
+//! proof allows; unconstrained (or unanalyzable) spaces yield one full
+//! `(0, 1)` slab per dimension, which maps every raw draw to itself.
 
+use crate::objective::Objective;
+use crate::Result;
 use cets_lint::{analyze_space, Interval, PlanBundle};
-use cets_space::{ParamDef, Sampler, SearchSpace, Subspace};
+use cets_space::{Config, ParamDef, SearchSpace, Subspace};
+use rand::rngs::StdRng;
 
-/// The unit-coordinate sub-box proved to contain every feasible
-/// configuration of `space`, when the static analysis narrows anything.
+/// The per-dimension unit-coordinate slab unions proved to contain every
+/// feasible configuration of `space`, from at most one
+/// [`analyze_space`] call (none when the space declares no constraints):
 ///
-/// Returns `None` when the bundle is unanalyzable, the constraint
-/// conjunction is proved empty (callers keep their normal exhaustion
-/// behavior — an empty box has nothing better to offer), or no parameter
-/// narrows; callers then sample the full cube exactly as before.
-pub fn contracted_unit_box(space: &SearchSpace) -> Option<Vec<(f64, f64)>> {
-    let analysis = analyze_space(&space_bundle(space));
-    if !analysis.analyzed || analysis.proved_empty || !analysis.any_narrowed() {
-        return None;
+/// * one full `(0, 1)` slab per dimension when there is nothing to
+///   analyze, the analysis is unavailable, it proves the space empty
+///   (draws keep their normal exhaustion behaviour: an empty box has
+///   nothing better to offer), or it narrows nothing;
+/// * when some parameter's feasible set is a union of ≥ 2 slabs (e.g.
+///   `a <= 1 || a >= 9`) or the finite-set pass proved some declared
+///   ordinal/categorical choices dead, those unions, holes and all;
+/// * otherwise the contracted box, one slab per dimension.
+pub fn contracted_unit_slabs(space: &SearchSpace) -> Vec<Vec<(f64, f64)>> {
+    let full = || vec![vec![(0.0, 1.0)]; space.dim()];
+    if space.constraints().is_empty() {
+        return full();
     }
-    let bounds: Vec<(f64, f64)> = analysis
-        .params
+    let analysis = analyze_space(&space_bundle(space));
+    if !analysis.analyzed || analysis.proved_empty {
+        return full();
+    }
+    let pruned = |p: &cets_lint::absint::ParamInterval, def: &ParamDef| {
+        p.kept
+            .as_ref()
+            .zip(def.cardinality())
+            .is_some_and(|(idx, n)| !idx.is_empty() && idx.len() < n)
+    };
+    let params = || analysis.params.iter().zip(space.defs());
+    if params().any(|(p, def)| p.slabs.len() > 1 || pruned(p, def)) {
+        params()
+            .map(|(p, def)| {
+                // Finite-set facts are exact: the surviving choices' unit
+                // bins (contiguous runs merged) are the tightest sound union.
+                if pruned(p, def) {
+                    if let Some(bins) = kept_unit_bins(def, p.kept.as_deref().unwrap_or(&[])) {
+                        return bins;
+                    }
+                }
+                let slabs: Vec<(f64, f64)> =
+                    p.slabs.iter().map(|iv| unit_bounds(def, iv)).collect();
+                // `unit_bounds` answers the full `(0, 1)` cube both for
+                // "spans everything" and for "not expressible in this
+                // domain kind"; either way the union degenerates, so fall
+                // back to the sound hull for that dimension.
+                if slabs.is_empty() || slabs.contains(&(0.0, 1.0)) {
+                    vec![unit_bounds(def, &p.contracted)]
+                } else {
+                    slabs
+                }
+            })
+            .collect()
+    } else if analysis.any_narrowed() {
+        params()
+            .map(|(p, def)| vec![unit_bounds(def, &p.contracted)])
+            .collect()
+    } else {
+        full()
+    }
+}
+
+/// Per-active-dimension unit slab unions for a subspace — what the BO
+/// loop draws from: [`contracted_unit_slabs`] of the full space, projected
+/// onto the active dimensions.
+pub fn active_unit_slabs(subspace: &Subspace) -> Vec<Vec<(f64, f64)>> {
+    let dims = contracted_unit_slabs(subspace.space());
+    subspace
+        .active_indices()
         .iter()
-        .zip(space.defs())
-        .map(|(p, def)| unit_bounds(def, &p.contracted))
-        .collect();
-    Some(bounds)
+        .map(|&i| dims[i].clone())
+        .collect()
+}
+
+/// One feasible configuration of `objective`'s full space: its
+/// constructive sampler ([`Objective::sample_valid`]) when it has one,
+/// otherwise a rejection draw from `slabs` (the space's
+/// [`contracted_unit_slabs`]) accepted by decoding and checking the
+/// constraints.
+pub(crate) fn draw_config<O: Objective + ?Sized>(
+    objective: &O,
+    slabs: &[Vec<(f64, f64)>],
+    rng: &mut StdRng,
+) -> Result<Config> {
+    if let Some(cfg) = objective.sample_valid(rng) {
+        return Ok(cfg);
+    }
+    let space = objective.space();
+    Ok(cets_space::draw_feasible(slabs, rng, |u| {
+        space.decode(&u).ok().filter(|c| space.is_valid(c))
+    })?)
 }
 
 /// The data mirror of `space` the static analysis runs over.
@@ -68,64 +143,6 @@ pub(crate) fn space_bundle(space: &SearchSpace) -> PlanBundle {
             .collect(),
         ..Default::default()
     }
-}
-
-/// The per-dimension unit-coordinate *slab unions* proved to contain
-/// every feasible configuration, when disjunctive branch-and-prune found
-/// genuinely disjoint structure (some parameter's feasible set is a union
-/// of ≥ 2 slabs — e.g. `a <= 1 || a >= 9`) or the finite-set pass proved
-/// some declared ordinal/categorical choices dead (the surviving bins
-/// form the union, holes and all).
-///
-/// Returns `None` when the analysis is unavailable, the system is proved
-/// empty, or every parameter's feasible set is a single interval with no
-/// finite-set pruning — the plain [`contracted_unit_box`] hull path
-/// already covers those, and keeping that case on the box path keeps the
-/// default sampling behavior bit-identical.
-pub fn contracted_unit_slabs(space: &SearchSpace) -> Option<Vec<Vec<(f64, f64)>>> {
-    let analysis = analyze_space(&space_bundle(space));
-    if !analysis.analyzed || analysis.proved_empty {
-        return None;
-    }
-    let pruned = |p: &cets_lint::absint::ParamInterval, def: &ParamDef| {
-        p.kept
-            .as_ref()
-            .zip(def.cardinality())
-            .is_some_and(|(idx, n)| !idx.is_empty() && idx.len() < n)
-    };
-    if !analysis
-        .params
-        .iter()
-        .zip(space.defs())
-        .any(|(p, def)| p.slabs.len() > 1 || pruned(p, def))
-    {
-        return None;
-    }
-    let dims: Vec<Vec<(f64, f64)>> = analysis
-        .params
-        .iter()
-        .zip(space.defs())
-        .map(|(p, def)| {
-            // Finite-set facts are exact: the surviving choices' unit
-            // bins (contiguous runs merged) are the tightest sound union.
-            if pruned(p, def) {
-                if let Some(bins) = kept_unit_bins(def, p.kept.as_deref().unwrap_or(&[])) {
-                    return bins;
-                }
-            }
-            let slabs: Vec<(f64, f64)> = p.slabs.iter().map(|iv| unit_bounds(def, iv)).collect();
-            // `unit_bounds` answers the full `(0, 1)` cube both for "spans
-            // everything" and for "not expressible in this domain kind";
-            // either way the union degenerates, so fall back to the sound
-            // hull for that dimension.
-            if slabs.is_empty() || slabs.contains(&(0.0, 1.0)) {
-                vec![unit_bounds(def, &p.contracted)]
-            } else {
-                slabs
-            }
-        })
-        .collect();
-    Some(dims)
 }
 
 /// The unit bins of the surviving choice indices, with contiguous runs
@@ -189,62 +206,19 @@ fn unit_bounds(def: &ParamDef, iv: &Interval) -> (f64, f64) {
         // indices; categorical axes always keep the full bin range.
         ParamDef::Categorical { .. } => return FULL,
     };
-    (lo.clamp(0.0, 1.0), hi.clamp(0.0, 1.0))
-}
-
-/// A [`Sampler`] over `space` that draws from the contracted unit box —
-/// or, when branch-and-prune recovered disjoint feasible slabs, from the
-/// slab *union* — the contraction-aware default path used by
-/// [`crate::random_search()`] and [`crate::gather_insights`].
-pub fn contraction_aware_sampler(space: &SearchSpace) -> Sampler<'_> {
-    if let Some(slabs) = contracted_unit_slabs(space) {
-        return Sampler::new(space).with_unit_slabs(slabs);
-    }
-    match contracted_unit_box(space) {
-        Some(bounds) => Sampler::new(space).with_unit_box(bounds),
-        None => Sampler::new(space),
-    }
-}
-
-/// Per-active-dimension unit bounds for a subspace — what the BO rejection
-/// loop draws from. Dimensions of an un-narrowed (or unanalyzable) space
-/// get the full `(0, 1)` interval, which maps draws identically to the
-/// un-contracted path.
-pub fn active_unit_box(subspace: &Subspace) -> Vec<(f64, f64)> {
-    match contracted_unit_box(subspace.space()) {
-        Some(bounds) => subspace
-            .active_indices()
-            .iter()
-            .map(|&i| bounds[i])
-            .collect(),
-        None => vec![(0.0, 1.0); subspace.dim()],
-    }
-}
-
-/// Per-active-dimension unit slab unions — the disjunction-aware
-/// generalization of [`active_unit_box`] the BO loop draws from. Every
-/// dimension without disjoint structure carries exactly one slab equal to
-/// its [`active_unit_box`] interval, so drawing via
-/// [`cets_space::map_slabs`] is bit-identical to the box path there.
-pub fn active_unit_slabs(subspace: &Subspace) -> Vec<Vec<(f64, f64)>> {
-    match contracted_unit_slabs(subspace.space()) {
-        Some(dims) => subspace
-            .active_indices()
-            .iter()
-            .map(|&i| dims[i].clone())
-            .collect(),
-        None => active_unit_box(subspace)
-            .into_iter()
-            .map(|b| vec![b])
-            .collect(),
+    let (lo, hi) = (lo.clamp(0.0, 1.0), hi.clamp(0.0, 1.0));
+    // A real domain wider than `f64::MAX` divides into NaN: keep the axis.
+    if lo <= hi {
+        (lo, hi)
+    } else {
+        FULL
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cets_space::{Constraint, ParamValue};
-    use rand::rngs::StdRng;
+    use cets_space::{draw_feasible, Constraint, ParamValue};
     use rand::SeedableRng;
 
     fn constrained_space() -> SearchSpace {
@@ -260,30 +234,48 @@ mod tests {
             .build()
     }
 
+    /// Draws from `slabs` with no rejection at all: every decoded point
+    /// is kept, so what they satisfy the slab list alone guarantees.
+    fn unrejected(s: &SearchSpace, slabs: &[Vec<(f64, f64)>], n: usize, seed: u64) -> Vec<Config> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| draw_feasible(slabs, &mut rng, |u| s.decode(&u).ok()).unwrap())
+            .collect()
+    }
+
     #[test]
     fn contracted_box_matches_analysis() {
-        let s = constrained_space();
-        let b = contracted_unit_box(&s).expect("both axes narrow");
+        let b = contracted_unit_slabs(&constrained_space());
         // x ∈ [0, 25] of [0, 100] → unit [0, 0.25].
-        assert!((b[0].0 - 0.0).abs() < 1e-12 && (b[0].1 - 0.25).abs() < 1e-12);
+        assert_eq!(b[0].len(), 1);
+        assert!((b[0][0].0 - 0.0).abs() < 1e-12 && (b[0][0].1 - 0.25).abs() < 1e-12);
         // tb ∈ {0..24} of {0..99} → unit [0, 25/100).
-        assert!((b[1].0 - 0.0).abs() < 1e-12 && (b[1].1 - 0.25).abs() < 1e-12);
+        assert_eq!(b[1].len(), 1);
+        assert!((b[1][0].0 - 0.0).abs() < 1e-12 && (b[1][0].1 - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn unconstrained_space_has_no_box() {
         let s = SearchSpace::builder().real("x", 0.0, 1.0).build();
-        assert!(contracted_unit_box(&s).is_none());
+        assert_eq!(contracted_unit_slabs(&s), vec![vec![(0.0, 1.0)]]);
+    }
+
+    #[test]
+    fn unparsed_constraints_leave_the_full_cube() {
+        let s = SearchSpace::builder()
+            .integer("px", 1, 16)
+            .integer("py", 1, 16)
+            .constraint(Constraint::new("grid", "px·py <= ranks", |s, c| {
+                s.get_i64(c, "px").unwrap() * s.get_i64(c, "py").unwrap() <= 16
+            }))
+            .build();
+        assert_eq!(contracted_unit_slabs(&s), vec![vec![(0.0, 1.0)]; 2]);
     }
 
     #[test]
     fn sampler_draws_land_in_contraction() {
         let s = constrained_space();
-        let sam = contraction_aware_sampler(&s);
-        assert!(sam.unit_box().is_some());
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..50 {
-            let cfg = sam.uniform(&mut rng).expect("narrowed box samples fast");
+        for cfg in unrejected(&s, &contracted_unit_slabs(&s), 50, 3) {
             assert!(s.get_f64(&cfg, "x").unwrap() <= 25.0);
             assert!(s.get_i64(&cfg, "tb").unwrap() <= 24);
         }
@@ -294,9 +286,14 @@ mod tests {
         let s = constrained_space();
         let defaults = vec![ParamValue::Real(1.0), ParamValue::Int(1)];
         let sub = Subspace::new(&s, &["tb"], defaults).unwrap();
-        let b = active_unit_box(&sub);
+        let b = active_unit_slabs(&sub);
         assert_eq!(b.len(), 1);
-        assert!((b[0].1 - 0.25).abs() < 1e-12, "tb axis bound: {:?}", b[0]);
+        assert_eq!(b[0].len(), 1);
+        assert!(
+            (b[0][0].1 - 0.25).abs() < 1e-12,
+            "tb axis bound: {:?}",
+            b[0]
+        );
     }
 
     #[test]
@@ -306,7 +303,7 @@ mod tests {
             .real("b", 0.0, 1.0)
             .build();
         let sub = Subspace::full(&s, vec![ParamValue::Real(0.5), ParamValue::Real(0.5)]).unwrap();
-        assert_eq!(active_unit_box(&sub), vec![(0.0, 1.0); 2]);
+        assert_eq!(active_unit_slabs(&sub), vec![vec![(0.0, 1.0)]; 2]);
     }
 
     #[test]
@@ -337,8 +334,7 @@ mod tests {
 
     #[test]
     fn disjunctive_constraint_yields_two_slabs() {
-        let s = disjunctive_space();
-        let dims = contracted_unit_slabs(&s).expect("branch-and-prune finds two slabs");
+        let dims = contracted_unit_slabs(&disjunctive_space());
         // a ∈ {0, 1} ∪ {9, 10} over {0..10} → bins [0, 2/11] ∪ [9/11, 1].
         assert_eq!(dims[0].len(), 2, "a slabs: {:?}", dims[0]);
         assert!((dims[0][0].0 - 0.0).abs() < 1e-12);
@@ -352,22 +348,19 @@ mod tests {
     #[test]
     fn dead_categorical_options_become_slab_holes() {
         // `mode != 1` punches a hole in the option bins: the slab union
-        // is [0, 1/3) ∪ [2/3, 1) and the sampler never draws option 1.
+        // is [0, 1/3) ∪ [2/3, 1) and no draw lands on option 1.
         let s = SearchSpace::builder()
             .categorical("mode", vec!["row".into(), "col".into(), "tile".into()])
             .constraint(Constraint::new("hole", "mode != 1", |s, c| {
                 s.get_f64(c, "mode").unwrap() as usize != 1
             }))
             .build();
-        let dims = contracted_unit_slabs(&s).expect("finite-set facts yield slabs");
+        let dims = contracted_unit_slabs(&s);
         assert_eq!(dims[0].len(), 2, "{:?}", dims[0]);
         assert!((dims[0][0].0 - 0.0).abs() < 1e-12);
         assert!((dims[0][0].1 - 1.0 / 3.0).abs() < 1e-12);
         assert!((dims[0][1].0 - 2.0 / 3.0).abs() < 1e-12);
-        let sam = contraction_aware_sampler(&s);
-        let mut rng = StdRng::seed_from_u64(17);
-        for _ in 0..100 {
-            let cfg = sam.uniform(&mut rng).expect("holes sample fine");
+        for cfg in unrejected(&s, &dims, 100, 17) {
             let mode = s.get_f64(&cfg, "mode").unwrap() as usize;
             assert_ne!(mode, 1, "dead option drawn");
         }
@@ -375,19 +368,15 @@ mod tests {
 
     #[test]
     fn single_interval_spaces_stay_on_the_box_path() {
-        // Blast-radius control: no disjoint structure → no slab table, so
-        // the established box path (and its bit-exact draw stream) is used.
-        assert!(contracted_unit_slabs(&constrained_space()).is_none());
+        // No disjoint structure: the contracted box, one slab per axis.
+        let dims = contracted_unit_slabs(&constrained_space());
+        assert!(dims.iter().all(|d| d.len() == 1), "{dims:?}");
     }
 
     #[test]
     fn slab_sampler_always_lands_in_a_feasible_slab() {
         let s = disjunctive_space();
-        let sam = contraction_aware_sampler(&s);
-        assert!(sam.unit_slabs().is_some(), "sampler should carry slabs");
-        let mut rng = StdRng::seed_from_u64(11);
-        for _ in 0..200 {
-            let cfg = sam.uniform(&mut rng).expect("slab draws are feasible");
+        for cfg in unrejected(&s, &contracted_unit_slabs(&s), 200, 11) {
             let a = s.get_i64(&cfg, "a").unwrap();
             assert!(a <= 1 || a >= 9, "infeasible draw a = {a}");
         }
@@ -397,20 +386,15 @@ mod tests {
     fn active_slabs_project_and_fall_back() {
         let s = disjunctive_space();
         let defaults = vec![ParamValue::Int(0), ParamValue::Real(0.5)];
-        let sub = Subspace::new(&s, &["a"], defaults.clone()).unwrap();
+        let sub = Subspace::new(&s, &["a"], defaults).unwrap();
         let slabs = active_unit_slabs(&sub);
         assert_eq!(slabs.len(), 1);
         assert_eq!(slabs[0].len(), 2);
-        // Without disjoint structure the fallback wraps the box, one slab
-        // per dimension.
+        // Without disjoint structure each dimension falls back to its box
+        // interval as one slab.
         let plain = constrained_space();
         let sub2 = Subspace::full(&plain, vec![ParamValue::Real(1.0), ParamValue::Int(1)]).unwrap();
-        let slabs2 = active_unit_slabs(&sub2);
-        let box2 = active_unit_box(&sub2);
-        assert_eq!(
-            slabs2,
-            box2.into_iter().map(|b| vec![b]).collect::<Vec<_>>()
-        );
+        assert_eq!(active_unit_slabs(&sub2), contracted_unit_slabs(&plain));
     }
 
     #[test]
@@ -423,5 +407,12 @@ mod tests {
             unit_bounds(&real, &Interval::new(f64::NEG_INFINITY, 0.5)),
             (0.0, 1.0)
         );
+        // A domain wider than `f64::MAX`: `hi − lo` overflows and the upper
+        // bound divides into NaN, so the axis stays whole.
+        let huge = ParamDef::Real {
+            lo: -1e308,
+            hi: 1e308,
+        };
+        assert_eq!(unit_bounds(&huge, &Interval::new(0.0, 1e308)), (0.0, 1.0));
     }
 }

@@ -20,6 +20,7 @@
 //! outcome reflect the *strategy*, not the implementation.
 
 use crate::bo::{BoConfig, BoSearch, SearchOutcome};
+use crate::contraction::{contracted_unit_slabs, draw_config};
 use crate::normal;
 use crate::objective::Objective;
 use crate::{CoreError, Result};
@@ -172,12 +173,9 @@ pub fn dropout_bo<O: Objective + ?Sized>(
 
     // Initial design: constructive sampler if present, else rejection.
     let mut history: Vec<(Vec<f64>, f64)> = Vec::new();
-    let sampler = crate::contraction::contraction_aware_sampler(space);
+    let slabs = contracted_unit_slabs(space);
     for _ in 0..bo.n_init.min(bo.max_evals) {
-        let cfg = match objective.sample_valid(&mut rng) {
-            Some(c) => c,
-            None => sampler.uniform(&mut rng).map_err(CoreError::Space)?,
-        };
+        let cfg = draw_config(objective, &slabs, &mut rng)?;
         let y = objective.evaluate(&cfg).total;
         history.push((subspace.project(&cfg)?, y));
     }
@@ -234,10 +232,7 @@ pub fn dropout_bo<O: Objective + ?Sized>(
         }
         let Some((u_next, _)) = best_cand else {
             // All candidates invalid this round: re-draw a fresh point.
-            let cfg = match objective.sample_valid(&mut rng) {
-                Some(c) => c,
-                None => sampler.uniform(&mut rng).map_err(CoreError::Space)?,
-            };
+            let cfg = draw_config(objective, &slabs, &mut rng)?;
             let y = objective.evaluate(&cfg).total;
             history.push((subspace.project(&cfg)?, y));
             continue;

@@ -2,6 +2,7 @@
 //! objective, then run feature importance, Pearson correlation and
 //! distribution summaries over the data.
 
+use crate::contraction::{contracted_unit_slabs, draw_config};
 use crate::objective::Objective;
 use crate::Result;
 use cets_space::Config;
@@ -88,8 +89,8 @@ pub fn gather_insights<O: Objective + ?Sized>(
     cfg: &InsightsConfig,
 ) -> Result<FeatureInsights> {
     let space = objective.space();
-    // Contraction-aware fallback sampler (see [`crate::contraction`]).
-    let sampler = crate::contraction::contraction_aware_sampler(space);
+    // Contraction-aware fallback draws (see [`crate::contraction`]).
+    let slabs = contracted_unit_slabs(space);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
     let mut samples: Vec<(Config, f64)> = Vec::with_capacity(cfg.n_samples);
@@ -97,12 +98,7 @@ pub fn gather_insights<O: Objective + ?Sized>(
     let mut targets: Vec<f64> = Vec::with_capacity(cfg.n_samples);
     let mut n_non_finite = 0usize;
     for _ in 0..cfg.n_samples {
-        // Prefer the objective's constructive sampler (heavily constrained
-        // spaces defeat blind rejection); fall back to rejection sampling.
-        let config = match objective.sample_valid(&mut rng) {
-            Some(c) => c,
-            None => sampler.uniform(&mut rng)?,
-        };
+        let config = draw_config(objective, &slabs, &mut rng)?;
         let y = objective.evaluate(&config).total;
         // A NaN total would propagate silently through both the Pearson
         // sums and the forest's variance splits; screen it out and count it.

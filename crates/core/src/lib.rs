@@ -51,10 +51,7 @@ pub use bo::{
     Acquisition, BoConfig, BoSearch, FailurePolicy, Imputation, ResilientOutcome, SearchOutcome,
 };
 pub use checkpoint::BoCheckpoint;
-pub use contraction::{
-    active_unit_box, active_unit_slabs, contracted_unit_box, contracted_unit_slabs,
-    contraction_aware_sampler,
-};
+pub use contraction::{active_unit_slabs, contracted_unit_slabs};
 pub use db::{Database, Record};
 pub use grid_search::grid_search;
 pub use highdim::{dropout_bo, full_space_bo, rembo};

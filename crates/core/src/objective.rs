@@ -63,15 +63,16 @@ pub trait Objective: Sync {
     /// that know their constraint structure can supply a sampler that
     /// builds valid configurations directly (e.g. draw `tb` first, then
     /// `tb_sm ≤ max_threads / tb`); full-space consumers
-    /// ([`crate::insights::gather_insights`], [`crate::random_search()`])
-    /// use it when present. Decomposed subspace searches don't need it.
+    /// ([`crate::insights::gather_insights`], [`crate::random_search()`],
+    /// [`crate::dropout_bo`]) use it when present. Decomposed subspace
+    /// searches don't need it.
     ///
     /// The default path (this method returning `None`) is not blind: the
-    /// consumers fall back to
-    /// [`crate::contraction::contraction_aware_sampler`], whose rejection
-    /// draws come from the statically contracted box when `cets-lint`'s
-    /// interval analysis proves one — so even without a constructive
-    /// sampler, declared constraints narrow where candidates are drawn.
+    /// consumers fall back to rejection draws from
+    /// [`crate::contraction::contracted_unit_slabs`], the slabs
+    /// `cets-lint`'s interval analysis proves feasible — so even without a
+    /// constructive sampler, declared constraints narrow where candidates
+    /// are drawn.
     fn sample_valid(&self, _rng: &mut dyn rand::Rng) -> Option<Config> {
         None
     }

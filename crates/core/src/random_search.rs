@@ -1,6 +1,7 @@
 //! Random-search baseline (paper Table III's first column).
 
 use crate::bo::SearchOutcome;
+use crate::contraction::{contracted_unit_slabs, draw_config};
 use crate::objective::Objective;
 use crate::{CoreError, Result};
 use cets_space::Subspace;
@@ -46,10 +47,9 @@ pub fn random_search<O: Objective + ?Sized>(
     let start = Instant::now();
     let space = objective.space();
     let subspace = Subspace::full(space, objective.default_config())?;
-    // Contraction-aware fallback sampler: rejection draws come from the
-    // statically narrowed box when the constraint analysis proves one
-    // (identical to a plain `Sampler` otherwise).
-    let sampler = crate::contraction::contraction_aware_sampler(space);
+    // Rejection draws come from the statically contracted slabs (the
+    // full cube when the constraint analysis narrows nothing).
+    let slabs = contracted_unit_slabs(space);
 
     let threads = cfg.threads.max(1).min(cfg.n_evals);
     let mut results: Vec<Option<(Vec<f64>, f64)>> = vec![None; cfg.n_evals];
@@ -59,19 +59,14 @@ pub fn random_search<O: Objective + ?Sized>(
     std::thread::scope(|s| {
         for (ci, slot_chunk) in results.chunks_mut(chunk).enumerate() {
             let base = ci * chunk;
-            let sampler = &sampler;
+            let slabs = &slabs;
             let subspace = &subspace;
             let errors = &errors;
             s.spawn(move || {
                 for (off, slot) in slot_chunk.iter_mut().enumerate() {
                     let i = base + off;
                     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(i as u64));
-                    // Constructive sampler first (see Objective docs), then
-                    // blind rejection.
-                    let drawn = match objective.sample_valid(&mut rng) {
-                        Some(c) => Ok(c),
-                        None => sampler.uniform(&mut rng).map_err(CoreError::Space),
-                    };
+                    let drawn = draw_config(objective, slabs, &mut rng);
                     let projected = drawn.and_then(|config| {
                         let y = objective.evaluate(&config).total;
                         let u = subspace.project(&config)?;

@@ -2,7 +2,6 @@
 //! 2 and 5 are DAG diagrams of exactly this kind).
 
 use crate::{InfluenceGraph, Partition, Result};
-use std::fmt::Write as _;
 
 impl InfluenceGraph {
     /// Render the pruned graph as Graphviz DOT: routines as boxes,
@@ -10,23 +9,19 @@ impl InfluenceGraph {
     /// with the score as a percentage. Cross-edges (interdependence) are
     /// drawn bold red; own-edges gray.
     pub fn to_dot(&self, cutoff: f64) -> Result<String> {
-        let mut s = String::new();
-        writeln!(s, "digraph influence {{").unwrap();
-        writeln!(s, "  rankdir=LR;").unwrap();
-        writeln!(s, "  label=\"cut-off = {:.0}%\";", cutoff * 100.0).unwrap();
+        let mut s = String::from("digraph influence {\n  rankdir=LR;\n");
+        s += &format!("  label=\"cut-off = {:.0}%\";\n", cutoff * 100.0);
         for (r, name) in self.routines().iter().enumerate() {
-            writeln!(
-                s,
-                "  r{r} [shape=box, style=filled, fillcolor=lightblue, label=\"{name}\"];"
-            )
-            .unwrap();
+            s += &format!(
+                "  r{r} [shape=box, style=filled, fillcolor=lightblue, label=\"{name}\"];\n"
+            );
         }
         let edges = self.edges(cutoff)?;
         let mut used_params: Vec<usize> = edges.iter().map(|e| e.param).collect();
         used_params.sort_unstable();
         used_params.dedup();
         for p in used_params {
-            writeln!(s, "  p{p} [shape=ellipse, label=\"{}\"];", self.params()[p]).unwrap();
+            s += &format!("  p{p} [shape=ellipse, label=\"{}\"];\n", self.params()[p]);
         }
         for e in &edges {
             let cross = e.from.is_some_and(|f| f != e.to);
@@ -35,16 +30,14 @@ impl InfluenceGraph {
             } else {
                 "color=gray"
             };
-            writeln!(
-                s,
-                "  p{} -> r{} [label=\"{:.0}%\", {style}];",
+            s += &format!(
+                "  p{} -> r{} [label=\"{:.0}%\", {style}];\n",
                 e.param,
                 e.to,
                 e.score * 100.0
-            )
-            .unwrap();
+            );
         }
-        writeln!(s, "}}").unwrap();
+        s += "}\n";
         Ok(s)
     }
 }
@@ -53,55 +46,41 @@ impl Partition {
     /// Render the partition as DOT clusters: one subgraph per merged search,
     /// plus a `precedence` cluster for upstream routines.
     pub fn to_dot(&self, graph: &InfluenceGraph) -> String {
-        let mut s = String::new();
-        writeln!(s, "digraph searches {{").unwrap();
-        writeln!(s, "  compound=true;").unwrap();
+        let mut s = String::from("digraph searches {\n  compound=true;\n");
         for (gi, grp) in self.groups().iter().enumerate() {
-            writeln!(s, "  subgraph cluster_{gi} {{").unwrap();
+            s += &format!("  subgraph cluster_{gi} {{\n");
             let names: Vec<&str> = grp
                 .routines
                 .iter()
                 .map(|&r| graph.routines()[r].as_str())
                 .collect();
-            writeln!(
-                s,
-                "    label=\"search {gi}: {} ({} dims)\";",
+            s += &format!(
+                "    label=\"search {gi}: {} ({} dims)\";\n",
                 names.join("+"),
                 grp.dim()
-            )
-            .unwrap();
+            );
             for &r in &grp.routines {
-                writeln!(
-                    s,
-                    "    r{r} [shape=box, label=\"{}\"];",
-                    graph.routines()[r]
-                )
-                .unwrap();
+                s += &format!("    r{r} [shape=box, label=\"{}\"];\n", graph.routines()[r]);
             }
             for &p in &grp.params {
-                writeln!(
-                    s,
-                    "    gp{gi}_{p} [shape=ellipse, label=\"{}\"];",
+                s += &format!(
+                    "    gp{gi}_{p} [shape=ellipse, label=\"{}\"];\n",
                     graph.params()[p]
-                )
-                .unwrap();
+                );
             }
-            writeln!(s, "  }}").unwrap();
+            s += "  }\n";
         }
         if !self.precedence().is_empty() {
-            writeln!(s, "  subgraph cluster_prec {{").unwrap();
-            writeln!(s, "    label=\"tuned first (precedence)\";").unwrap();
+            s += "  subgraph cluster_prec {\n    label=\"tuned first (precedence)\";\n";
             for &r in self.precedence() {
-                writeln!(
-                    s,
-                    "    r{r} [shape=box, style=dashed, label=\"{}\"];",
+                s += &format!(
+                    "    r{r} [shape=box, style=dashed, label=\"{}\"];\n",
                     graph.routines()[r]
-                )
-                .unwrap();
+                );
             }
-            writeln!(s, "  }}").unwrap();
+            s += "  }\n";
         }
-        writeln!(s, "}}").unwrap();
+        s += "}\n";
         s
     }
 }

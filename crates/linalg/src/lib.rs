@@ -9,9 +9,10 @@
 //! * [`Cholesky`] factorization with automatic jitter escalation — the
 //!   workhorse of Gaussian-process fitting (the `O(N^3)` cost the paper
 //!   discusses comes from here),
-//! * [`Lu`] (partial pivoting) for general square solves,
-//! * [`Qr`] (Householder) for least-squares problems used by the
-//!   statistics layer,
+//! * [`Lu`] (partial pivoting) for general square solves, which the
+//!   statistics layer's partial correlations use,
+//! * [`SymEigen`] (cyclic Jacobi) for the GP layer's kernel-conditioning
+//!   diagnostic,
 //! * free-function vector helpers in [`vecops`].
 //!
 //! Everything is `f64`; tuning problems are tiny by BLAS standards (a few
@@ -38,7 +39,6 @@ mod eigen;
 mod lu;
 mod matrix;
 pub mod par;
-mod qr;
 pub mod vecops;
 
 pub use cholesky::Cholesky;
@@ -46,7 +46,6 @@ pub use eigen::SymEigen;
 pub use lu::Lu;
 pub use matrix::Matrix;
 pub use par::{ParConfig, Threads};
-pub use qr::Qr;
 
 /// Errors produced by factorizations and shape-checked operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,7 +56,7 @@ pub enum LinalgError {
     /// The matrix was not positive definite even after the maximum jitter
     /// escalation; payload is the last jitter tried.
     NotPositiveDefinite { last_jitter: f64 },
-    /// The matrix is singular to working precision (LU/QR).
+    /// The matrix is singular to working precision (LU).
     Singular,
     /// The operation requires a square matrix.
     NotSquare { rows: usize, cols: usize },

@@ -20,8 +20,12 @@
 //! defaults for the rest — this is how the methodology's decomposed
 //! lower-dimensional searches (its central contribution) are expressed.
 //!
+//! Every feasible draw goes through one rejection loop, [`draw_feasible`],
+//! over a per-dimension list of unit-coordinate slabs (one full `(0, 1)`
+//! slab per dimension draws the plain cube):
+//!
 //! ```
-//! use cets_space::{SearchSpace, ParamDef, Sampler};
+//! use cets_space::{draw_feasible, SearchSpace};
 //! use rand::SeedableRng;
 //!
 //! let space = SearchSpace::builder()
@@ -29,7 +33,11 @@
 //!     .integer("tb", 32, 1024)
 //!     .build();
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let cfg = Sampler::new(&space).uniform(&mut rng).unwrap();
+//! let cube = vec![vec![(0.0, 1.0)]; space.dim()];
+//! let cfg = draw_feasible(&cube, &mut rng, |u| {
+//!     space.decode(&u).ok().filter(|c| space.is_valid(c))
+//! })
+//! .unwrap();
 //! assert!(space.is_valid(&cfg));
 //! ```
 
@@ -41,7 +49,7 @@ mod subspace;
 
 pub use constraint::Constraint;
 pub use param::{ParamDef, ParamValue};
-pub use sample::{map_slabs, Sampler};
+pub use sample::{draw_feasible, map_slabs};
 pub use space::{Config, SearchSpace, SearchSpaceBuilder};
 pub use subspace::Subspace;
 

@@ -1,258 +1,47 @@
-//! Samplers: uniform rejection sampling, Latin hypercube, neighbourhood
-//! perturbation.
+//! Feasible draws: the one rejection loop every search samples through.
 
-use crate::{Config, ParamDef, Result, SearchSpace, SpaceError};
-use rand::seq::SliceRandom;
+use crate::{Result, SpaceError};
 use rand::{Rng, RngExt};
 
-/// Draws valid configurations from a [`SearchSpace`].
+/// Rejected attempts after which [`draw_feasible`] gives up.
+const MAX_ATTEMPTS: usize = 10_000;
+
+/// Rejection-sample one feasible point from a per-dimension slab list.
 ///
-/// All sampling is rejection-based: draw from the unconstrained product
-/// space, keep only configurations accepted by every constraint. The
-/// attempt budget ([`Sampler::with_max_attempts`]) makes the paper's
-/// observation concrete that *heavily constrained high-dimensional spaces
-/// defeat blind candidate generation* — when the budget is exhausted the
-/// sampler returns [`SpaceError::SamplingExhausted`] instead of spinning.
-#[derive(Debug, Clone)]
-pub struct Sampler<'a> {
-    space: &'a SearchSpace,
-    max_attempts: usize,
-    unit_box: Option<Vec<(f64, f64)>>,
-    unit_slabs: Option<Vec<Vec<(f64, f64)>>>,
-}
-
-impl<'a> Sampler<'a> {
-    /// A sampler with the default attempt budget (10 000 per draw).
-    pub fn new(space: &'a SearchSpace) -> Self {
-        Sampler {
-            space,
-            max_attempts: 10_000,
-            unit_box: None,
-            unit_slabs: None,
+/// Each attempt maps one raw `[0, 1)` draw per dimension through
+/// [`map_slabs`] (dimension `j` lands in the union `slabs[j]`; one full
+/// `(0, 1)` slab maps every draw to itself) and hands the unit point to
+/// `accept`, which returns the accepted value or `None` to reject it. A
+/// full-space draw accepts by decoding and checking the constraints; a
+/// subspace draw by lifting through the frozen defaults.
+///
+/// The attempt budget makes concrete the paper's observation that heavily
+/// constrained high-dimensional spaces defeat blind candidate generation:
+/// after 10 000 rejections the draw fails with
+/// [`SpaceError::SamplingExhausted`] instead of spinning.
+pub fn draw_feasible<T, R: Rng + ?Sized>(
+    slabs: &[Vec<(f64, f64)>],
+    rng: &mut R,
+    mut accept: impl FnMut(Vec<f64>) -> Option<T>,
+) -> Result<T> {
+    for _ in 0..MAX_ATTEMPTS {
+        let u = slabs
+            .iter()
+            .map(|s| map_slabs(s, rng.random::<f64>()))
+            .collect();
+        if let Some(accepted) = accept(u) {
+            return Ok(accepted);
         }
     }
-
-    /// Override the per-draw rejection budget.
-    pub fn with_max_attempts(mut self, n: usize) -> Self {
-        self.max_attempts = n.max(1);
-        self
-    }
-
-    /// Restrict draws to an axis-aligned sub-box of the unit cube — the
-    /// contraction-aware sampling path.
-    ///
-    /// `bounds[j] = (lo, hi)` gives the unit-coordinate interval dimension
-    /// `j` is drawn from; a statically contracted box (see `cets-lint`'s
-    /// `analyze_space`) raises the density of constraint-satisfying draws
-    /// without excluding any feasible configuration. Bounds are clamped to
-    /// `[0, 1]`; a mismatched length or an inverted pair falls back to the
-    /// full cube for that draw call (sound, just not narrowed). Note an
-    /// all-`(0, 1)` box is the identity mapping bit-for-bit, so callers may
-    /// pass it unconditionally.
-    pub fn with_unit_box(mut self, bounds: Vec<(f64, f64)>) -> Self {
-        let ok = bounds.len() == self.space.dim()
-            && bounds
-                .iter()
-                .all(|&(lo, hi)| (0.0..=1.0).contains(&lo) && lo <= hi && hi <= 1.0);
-        self.unit_box = ok.then_some(bounds);
-        self
-    }
-
-    /// The active unit sub-box, when one was installed.
-    pub fn unit_box(&self) -> Option<&[(f64, f64)]> {
-        self.unit_box.as_deref()
-    }
-
-    /// Restrict draws to a *union of slabs* per dimension — the
-    /// disjunctive contraction-aware path.
-    ///
-    /// `slabs[j]` lists the unit-coordinate intervals dimension `j` may
-    /// take, as produced by branch-and-prune over `or` constraints
-    /// (`cets-lint`'s slab analysis): a raw draw is mapped into the union
-    /// measure-proportionally, so `a <= 1 || a >= 9` draws from both
-    /// feasible islands and never lands in the infeasible gap between
-    /// them. A dimension with a single slab is mapped bit-identically to
-    /// [`Sampler::with_unit_box`] on that slab, so callers may pass
-    /// single-slab lists unconditionally. Malformed input (wrong arity,
-    /// an empty slab list, bounds outside `[0, 1]` or inverted) falls
-    /// back to the full cube — sound, just not narrowed. Takes precedence
-    /// over any installed unit box.
-    pub fn with_unit_slabs(mut self, slabs: Vec<Vec<(f64, f64)>>) -> Self {
-        let ok = slabs.len() == self.space.dim()
-            && slabs.iter().all(|dim| {
-                !dim.is_empty()
-                    && dim
-                        .iter()
-                        .all(|&(lo, hi)| (0.0..=1.0).contains(&lo) && lo <= hi && hi <= 1.0)
-            });
-        self.unit_slabs = ok.then_some(slabs);
-        self
-    }
-
-    /// The active unit slab union, when one was installed.
-    pub fn unit_slabs(&self) -> Option<&[Vec<(f64, f64)>]> {
-        self.unit_slabs.as_deref()
-    }
-
-    /// Map a raw `[0, 1)` draw for dimension `j` into the unit box or
-    /// slab union.
-    #[inline]
-    fn map_unit(&self, j: usize, r: f64) -> f64 {
-        if let Some(s) = &self.unit_slabs {
-            return map_slabs(&s[j], r);
-        }
-        match &self.unit_box {
-            Some(b) => {
-                let (lo, hi) = b[j];
-                lo + r * (hi - lo)
-            }
-            None => r,
-        }
-    }
-
-    /// One uniform draw from the constrained space.
-    pub fn uniform<R: Rng>(&self, rng: &mut R) -> Result<Config> {
-        for _ in 0..self.max_attempts {
-            let u: Vec<f64> = (0..self.space.dim())
-                .map(|j| self.map_unit(j, rng.random::<f64>()))
-                .collect();
-            let cfg = self.space.decode(&u)?;
-            if self.space.is_valid(&cfg) {
-                return Ok(cfg);
-            }
-        }
-        Err(SpaceError::SamplingExhausted {
-            attempts: self.max_attempts,
-        })
-    }
-
-    /// `n` uniform draws.
-    pub fn uniform_n<R: Rng>(&self, n: usize, rng: &mut R) -> Result<Vec<Config>> {
-        (0..n).map(|_| self.uniform(rng)).collect()
-    }
-
-    /// Latin-hypercube sample of `n` configurations.
-    ///
-    /// Each dimension is divided into `n` strata; each stratum is visited
-    /// exactly once per dimension with independently shuffled assignments —
-    /// the standard initial design for Bayesian optimization (GPTune uses
-    /// the same family). Constraint-violating rows are re-drawn uniformly,
-    /// so the stratification is exact only for loosely constrained spaces.
-    pub fn latin_hypercube<R: Rng>(&self, n: usize, rng: &mut R) -> Result<Vec<Config>> {
-        if n == 0 {
-            return Ok(vec![]);
-        }
-        let d = self.space.dim();
-        // perms[j][i] = stratum of dimension j for sample i.
-        let mut perms: Vec<Vec<usize>> = Vec::with_capacity(d);
-        for _ in 0..d {
-            let mut p: Vec<usize> = (0..n).collect();
-            p.shuffle(rng);
-            perms.push(p);
-        }
-        let mut out = Vec::with_capacity(n);
-        #[allow(clippy::needless_range_loop)] // i indexes parallel permutation columns
-        for i in 0..n {
-            let u: Vec<f64> = (0..d)
-                .map(|j| self.map_unit(j, (perms[j][i] as f64 + rng.random::<f64>()) / n as f64))
-                .collect();
-            let cfg = self.space.decode(&u)?;
-            if self.space.is_valid(&cfg) {
-                out.push(cfg);
-            } else {
-                out.push(self.uniform(rng)?);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Low-discrepancy (Halton-sequence) sample of `n` configurations.
-    ///
-    /// Deterministic space-filling design: dimension `j` uses the radical
-    /// inverse in the `j`-th prime base, with a fixed index offset (20) to
-    /// skip the sequence's degenerate prefix. Useful when a *reproducible*
-    /// initial design is wanted independent of any RNG (e.g. comparing
-    /// search engines); constraint-violating points are replaced with
-    /// uniform draws like in [`Sampler::latin_hypercube`]. Halton's
-    /// uniformity degrades past ~6 dimensions — prefer LHS for the
-    /// methodology's capped searches, Halton for low-dim sweeps.
-    pub fn halton<R: Rng>(&self, n: usize, rng: &mut R) -> Result<Vec<Config>> {
-        let d = self.space.dim();
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let u: Vec<f64> = (0..d)
-                .map(|j| self.map_unit(j, radical_inverse(i as u64 + 20, PRIMES[j % PRIMES.len()])))
-                .collect();
-            let cfg = self.space.decode(&u)?;
-            if self.space.is_valid(&cfg) {
-                out.push(cfg);
-            } else {
-                out.push(self.uniform(rng)?);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Perturb `cfg` into a valid neighbour: each coordinate moves with
-    /// probability `move_prob`; continuous/integer coordinates take a
-    /// Gaussian-ish step of relative scale `step` in unit space, ordinals
-    /// step ±1 bin, categoricals resample. Used by the acquisition
-    /// optimizer's local-refinement stage.
-    pub fn neighbour<R: Rng>(
-        &self,
-        cfg: &Config,
-        move_prob: f64,
-        step: f64,
-        rng: &mut R,
-    ) -> Result<Config> {
-        let u0 = self.space.encode(cfg)?;
-        for _ in 0..self.max_attempts {
-            let mut u = u0.clone();
-            let mut moved = false;
-            for (j, uj) in u.iter_mut().enumerate() {
-                if rng.random::<f64>() >= move_prob {
-                    continue;
-                }
-                moved = true;
-                match &self.space.defs()[j] {
-                    ParamDef::Real { .. } | ParamDef::Integer { .. } => {
-                        // Triangular step ≈ cheap Gaussian substitute.
-                        let delta = (rng.random::<f64>() - rng.random::<f64>()) * step;
-                        *uj = (*uj + delta).clamp(0.0, 1.0);
-                    }
-                    ParamDef::Ordinal { values } => {
-                        let n = values.len() as f64;
-                        let dir = if rng.random::<bool>() { 1.0 } else { -1.0 };
-                        *uj = (*uj + dir / n).clamp(0.0, 1.0);
-                    }
-                    ParamDef::Categorical { .. } => {
-                        *uj = rng.random::<f64>();
-                    }
-                }
-            }
-            if !moved {
-                // Force at least one move so the neighbour differs.
-                let j = rng.random_range(0..u.len());
-                u[j] = rng.random::<f64>();
-            }
-            let cand = self.space.decode(&u)?;
-            if self.space.is_valid(&cand) {
-                return Ok(cand);
-            }
-        }
-        Err(SpaceError::SamplingExhausted {
-            attempts: self.max_attempts,
-        })
-    }
+    Err(SpaceError::SamplingExhausted {
+        attempts: MAX_ATTEMPTS,
+    })
 }
 
 /// Map a raw `[0, 1)` draw into a union of unit-space slabs,
-/// measure-proportionally. The single-slab fast path reproduces the
-/// unit-box affine map (`lo + r * (hi - lo)`) bit-for-bit; a zero-measure
-/// union (all point slabs) collapses onto the first slab's point. Public
-/// so search loops that draw raw unit coordinates themselves (e.g. the
-/// BO candidate loop in `cets-core`) can share the exact mapping the
-/// [`Sampler`] uses.
+/// measure-proportionally. A single slab maps affinely
+/// (`lo + r * (hi - lo)`); a zero-measure union (all point slabs)
+/// collapses onto the first slab's point.
 pub fn map_slabs(slabs: &[(f64, f64)], r: f64) -> f64 {
     if let [(lo, hi)] = slabs {
         return lo + r * (hi - lo);
@@ -272,27 +61,10 @@ pub fn map_slabs(slabs: &[(f64, f64)], r: f64) -> f64 {
     slabs[slabs.len() - 1].1
 }
 
-/// First 25 primes — Halton bases for up to 25 dimensions (cycled after).
-const PRIMES: [u64; 25] = [
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
-];
-
-/// Van-der-Corput radical inverse of `i` in base `b` — the Halton kernel.
-fn radical_inverse(mut i: u64, b: u64) -> f64 {
-    let mut inv = 0.0;
-    let mut denom = 1.0;
-    while i > 0 {
-        denom *= b as f64;
-        inv += (i % b) as f64 / denom;
-        i /= b;
-    }
-    inv
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Constraint, SearchSpace};
+    use crate::{Config, Constraint, SearchSpace};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -304,76 +76,26 @@ mod tests {
             .build()
     }
 
+    fn cube(s: &SearchSpace) -> Vec<Vec<(f64, f64)>> {
+        vec![vec![(0.0, 1.0)]; s.dim()]
+    }
+
+    /// The full-space acceptance: decode, then check every constraint.
+    fn draw(s: &SearchSpace, slabs: &[Vec<(f64, f64)>], rng: &mut StdRng) -> Result<Config> {
+        draw_feasible(slabs, rng, |u| s.decode(&u).ok().filter(|c| s.is_valid(c)))
+    }
+
+    fn draws(s: &SearchSpace, slabs: &[Vec<(f64, f64)>], n: usize, seed: u64) -> Vec<Config> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n).map(|_| draw(s, slabs, &mut rng).unwrap()).collect()
+    }
+
     #[test]
     fn uniform_draws_are_valid_and_deterministic() {
         let s = space();
-        let sam = Sampler::new(&s);
-        let mut r1 = StdRng::seed_from_u64(42);
-        let mut r2 = StdRng::seed_from_u64(42);
-        let a = sam.uniform_n(10, &mut r1).unwrap();
-        let b = sam.uniform_n(10, &mut r2).unwrap();
-        assert_eq!(a, b);
+        let a = draws(&s, &cube(&s), 10, 42);
+        assert_eq!(a, draws(&s, &cube(&s), 10, 42));
         assert!(a.iter().all(|c| s.is_valid(c)));
-    }
-
-    #[test]
-    fn lhs_stratifies_unconstrained_dims() {
-        let s = SearchSpace::builder().real("x", 0.0, 1.0).build();
-        let sam = Sampler::new(&s);
-        let mut rng = StdRng::seed_from_u64(1);
-        let n = 10;
-        let cfgs = sam.latin_hypercube(n, &mut rng).unwrap();
-        // Exactly one sample per stratum [k/n, (k+1)/n).
-        let mut strata = vec![0usize; n];
-        for c in &cfgs {
-            let x = c[0].as_f64();
-            let k = ((x * n as f64) as usize).min(n - 1);
-            strata[k] += 1;
-        }
-        assert!(strata.iter().all(|&c| c == 1), "{strata:?}");
-    }
-
-    #[test]
-    fn lhs_zero_is_empty() {
-        let s = space();
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(Sampler::new(&s)
-            .latin_hypercube(0, &mut rng)
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn halton_is_deterministic_and_space_filling() {
-        let s = SearchSpace::builder()
-            .real("x", 0.0, 1.0)
-            .real("y", 0.0, 1.0)
-            .build();
-        let sam = Sampler::new(&s);
-        let mut r1 = StdRng::seed_from_u64(0);
-        let mut r2 = StdRng::seed_from_u64(999); // RNG unused when all valid
-        let a = sam.halton(16, &mut r1).unwrap();
-        let b = sam.halton(16, &mut r2).unwrap();
-        assert_eq!(a, b, "Halton must not depend on the RNG when unconstrained");
-        // Space-filling: each quadrant of the unit square gets hits.
-        let mut quads = [0usize; 4];
-        for c in &a {
-            let (x, y) = (c[0].as_f64(), c[1].as_f64());
-            let q = (x >= 0.5) as usize * 2 + (y >= 0.5) as usize;
-            quads[q] += 1;
-        }
-        assert!(quads.iter().all(|&q| q >= 2), "{quads:?}");
-    }
-
-    #[test]
-    fn radical_inverse_known_values() {
-        // Base 2: 1 -> 0.5, 2 -> 0.25, 3 -> 0.75.
-        assert_eq!(radical_inverse(1, 2), 0.5);
-        assert_eq!(radical_inverse(2, 2), 0.25);
-        assert_eq!(radical_inverse(3, 2), 0.75);
-        assert_eq!(radical_inverse(0, 2), 0.0);
-        // Base 3: 1 -> 1/3, 2 -> 2/3.
-        assert!((radical_inverse(1, 3) - 1.0 / 3.0).abs() < 1e-15);
     }
 
     #[test]
@@ -385,10 +107,7 @@ mod tests {
                 s.get_i64(c, "a").unwrap() + s.get_i64(c, "b").unwrap() <= 10
             }))
             .build();
-        let sam = Sampler::new(&s);
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..50 {
-            let c = sam.uniform(&mut rng).unwrap();
+        for c in draws(&s, &cube(&s), 50, 3) {
             assert!(s.get_i64(&c, "a").unwrap() + s.get_i64(&c, "b").unwrap() <= 10);
         }
     }
@@ -399,59 +118,33 @@ mod tests {
             .real("x", 0.0, 1.0)
             .constraint(Constraint::new("never", "false", |_, _| false))
             .build();
-        let sam = Sampler::new(&s).with_max_attempts(50);
         let mut rng = StdRng::seed_from_u64(3);
         assert!(matches!(
-            sam.uniform(&mut rng),
-            Err(SpaceError::SamplingExhausted { attempts: 50 })
+            draw(&s, &cube(&s), &mut rng),
+            Err(SpaceError::SamplingExhausted { attempts: 10_000 })
         ));
     }
 
     #[test]
     fn unit_box_narrows_draws() {
         let s = SearchSpace::builder().real("x", 0.0, 100.0).build();
-        let sam = Sampler::new(&s).with_unit_box(vec![(0.25, 0.5)]);
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..50 {
-            let c = sam.uniform(&mut rng).unwrap();
+        for c in draws(&s, &[vec![(0.25, 0.5)]], 50, 7) {
             let x = c[0].as_f64();
             assert!((25.0..=50.0).contains(&x), "draw {x} escaped the box");
         }
-        // Latin hypercube stratifies within the box.
-        let cfgs = sam.latin_hypercube(8, &mut rng).unwrap();
-        assert!(cfgs.iter().all(|c| (25.0..=50.0).contains(&c[0].as_f64())));
     }
 
     #[test]
     fn full_unit_box_is_identity() {
+        // An all-(0, 1) slab list hands every raw draw through unchanged.
         let s = space();
-        let plain = Sampler::new(&s);
-        let boxed = Sampler::new(&s).with_unit_box(vec![(0.0, 1.0); s.dim()]);
-        let mut r1 = StdRng::seed_from_u64(5);
-        let mut r2 = StdRng::seed_from_u64(5);
-        assert_eq!(
-            plain.uniform_n(20, &mut r1).unwrap(),
-            boxed.uniform_n(20, &mut r2).unwrap(),
-            "an all-(0,1) box must be bit-identical to no box"
-        );
-    }
-
-    #[test]
-    fn malformed_unit_box_is_ignored() {
-        let s = space();
-        // Wrong arity and inverted bounds both fall back to the full cube.
-        assert!(Sampler::new(&s)
-            .with_unit_box(vec![(0.0, 1.0)])
-            .unit_box()
-            .is_none());
-        assert!(Sampler::new(&s)
-            .with_unit_box(vec![(0.9, 0.1); 3])
-            .unit_box()
-            .is_none());
-        assert!(Sampler::new(&s)
-            .with_unit_box(vec![(0.1, 0.9); 3])
-            .unit_box()
-            .is_some());
+        let mut raw = StdRng::seed_from_u64(5);
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..20 {
+            let expected: Vec<f64> = (0..s.dim()).map(|_| raw.random::<f64>()).collect();
+            let u = draw_feasible(&cube(&s), &mut rng, Some).unwrap();
+            assert_eq!(u, expected);
+        }
     }
 
     #[test]
@@ -459,12 +152,9 @@ mod tests {
         let s = SearchSpace::builder().integer("a", 0, 10).build();
         // Unit-space image of the integer slabs {0..1} ∪ {9..10}: bin k
         // maps from [k/11, (k+1)/11).
-        let sam =
-            Sampler::new(&s).with_unit_slabs(vec![vec![(0.0, 2.0 / 11.0), (9.0 / 11.0, 1.0)]]);
-        let mut rng = StdRng::seed_from_u64(13);
+        let slabs = [vec![(0.0, 2.0 / 11.0), (9.0 / 11.0, 1.0)]];
         let mut seen = std::collections::BTreeSet::new();
-        for _ in 0..200 {
-            let c = sam.uniform(&mut rng).unwrap();
+        for c in draws(&s, &slabs, 200, 13) {
             let a = s.get_i64(&c, "a").unwrap();
             assert!(a <= 1 || a >= 9, "draw {a} landed in the gap");
             seen.insert(a);
@@ -478,41 +168,16 @@ mod tests {
 
     #[test]
     fn single_slab_is_bit_identical_to_unit_box() {
-        let s = space();
-        let boxed = Sampler::new(&s).with_unit_box(vec![(0.25, 0.5); 3]);
-        let slabbed = Sampler::new(&s).with_unit_slabs(vec![vec![(0.25, 0.5)]; 3]);
-        let mut r1 = StdRng::seed_from_u64(21);
-        let mut r2 = StdRng::seed_from_u64(21);
-        assert_eq!(
-            boxed.uniform_n(20, &mut r1).unwrap(),
-            slabbed.uniform_n(20, &mut r2).unwrap(),
-            "single-slab unions must reproduce the unit-box path exactly"
-        );
-    }
-
-    #[test]
-    fn malformed_unit_slabs_are_ignored() {
-        let s = space();
-        // Wrong arity, an empty per-dimension list, and out-of-range
-        // bounds all fall back to the full cube.
-        assert!(Sampler::new(&s)
-            .with_unit_slabs(vec![vec![(0.0, 1.0)]])
-            .unit_slabs()
-            .is_none());
-        let mut dims = vec![vec![(0.0, 1.0)]; 3];
-        dims[1].clear();
-        assert!(Sampler::new(&s)
-            .with_unit_slabs(dims)
-            .unit_slabs()
-            .is_none());
-        assert!(Sampler::new(&s)
-            .with_unit_slabs(vec![vec![(0.2, 1.4)]; 3])
-            .unit_slabs()
-            .is_none());
-        assert!(Sampler::new(&s)
-            .with_unit_slabs(vec![vec![(0.2, 0.4), (0.6, 0.8)]; 3])
-            .unit_slabs()
-            .is_some());
+        // One slab maps a raw draw exactly as the affine box map does.
+        let (lo, hi) = (0.25, 0.5);
+        let mut rng = StdRng::seed_from_u64(21);
+        for _ in 0..100 {
+            let r = rng.random::<f64>();
+            assert_eq!(
+                map_slabs(&[(lo, hi)], r).to_bits(),
+                (lo + r * (hi - lo)).to_bits()
+            );
+        }
     }
 
     #[test]
@@ -524,53 +189,5 @@ mod tests {
         assert!(map_slabs(&slabs, 0.999) <= 0.9);
         // Degenerate all-point union collapses deterministically.
         assert_eq!(map_slabs(&[(0.3, 0.3), (0.7, 0.7)], 0.5), 0.3);
-    }
-
-    #[test]
-    fn neighbour_differs_and_is_valid() {
-        let s = space();
-        let sam = Sampler::new(&s);
-        let mut rng = StdRng::seed_from_u64(9);
-        let base = sam.uniform(&mut rng).unwrap();
-        let mut changed = 0;
-        for _ in 0..20 {
-            let n = sam.neighbour(&base, 0.5, 0.1, &mut rng).unwrap();
-            assert!(s.is_valid(&n));
-            if n != base {
-                changed += 1;
-            }
-        }
-        assert!(changed > 10, "perturbation almost never changed the config");
-    }
-
-    #[test]
-    fn neighbour_resamples_categoricals() {
-        let s = SearchSpace::builder()
-            .categorical("mode", (0..8).map(|i| format!("opt{i}")).collect())
-            .build();
-        let sam = Sampler::new(&s);
-        let mut rng = StdRng::seed_from_u64(2);
-        let base = s.decode(&[0.01]).unwrap(); // option 0
-        let mut seen = std::collections::BTreeSet::new();
-        for _ in 0..60 {
-            let n = sam.neighbour(&base, 1.0, 0.1, &mut rng).unwrap();
-            seen.insert(n[0].as_usize());
-        }
-        // Categorical moves are resamples, not ±1 steps: several distinct
-        // options should appear, not just the adjacent one.
-        assert!(seen.len() >= 4, "only saw options {seen:?}");
-    }
-
-    #[test]
-    fn neighbour_stays_local_for_small_steps() {
-        let s = SearchSpace::builder().real("x", 0.0, 100.0).build();
-        let sam = Sampler::new(&s);
-        let mut rng = StdRng::seed_from_u64(11);
-        let base = s.config_from_pairs(&[("x", 50.0)]).unwrap();
-        for _ in 0..50 {
-            let n = sam.neighbour(&base, 1.0, 0.05, &mut rng).unwrap();
-            let x = n[0].as_f64();
-            assert!((x - 50.0).abs() <= 10.0, "step too large: {x}");
-        }
     }
 }

@@ -16,6 +16,13 @@ pub struct SearchSpace {
     constraints: Vec<Constraint>,
 }
 
+/// Why a config is invalid: the first failing check, by index.
+enum Violation {
+    Arity,
+    Domain(usize),
+    Constraint(usize),
+}
+
 impl SearchSpace {
     /// Start building a space.
     pub fn builder() -> SearchSpaceBuilder {
@@ -104,35 +111,43 @@ impl SearchSpace {
     /// Does `cfg` have the right arity, in-domain values, and satisfy every
     /// constraint?
     pub fn is_valid(&self, cfg: &Config) -> bool {
-        self.check_valid(cfg).is_ok()
+        self.first_violation(cfg).is_none()
     }
 
     /// Like [`SearchSpace::is_valid`] but reports *why* a config is invalid.
     pub fn check_valid(&self, cfg: &Config) -> Result<()> {
+        let msg = match self.first_violation(cfg) {
+            None => return Ok(()),
+            Some(Violation::Arity) => format!("arity {} != {}", cfg.len(), self.dim()),
+            Some(Violation::Domain(j)) => {
+                format!("{}: {:?} outside domain", self.names[j], cfg[j])
+            }
+            Some(Violation::Constraint(k)) => {
+                let c = &self.constraints[k];
+                format!("constraint '{}' violated ({})", c.name(), c.description())
+            }
+        };
+        Err(SpaceError::InvalidConfig(msg))
+    }
+
+    /// The first check `cfg` fails, without building a message: blind
+    /// draws on a heavily constrained space are rejected far more often
+    /// than they are kept.
+    fn first_violation(&self, cfg: &Config) -> Option<Violation> {
         if cfg.len() != self.dim() {
-            return Err(SpaceError::InvalidConfig(format!(
-                "arity {} != {}",
-                cfg.len(),
-                self.dim()
-            )));
+            return Some(Violation::Arity);
         }
-        for ((def, v), name) in self.defs.iter().zip(cfg).zip(&self.names) {
-            if !def.contains(v) {
-                return Err(SpaceError::InvalidConfig(format!(
-                    "{name}: {v:?} outside domain"
-                )));
-            }
-        }
-        for c in &self.constraints {
-            if !c.check(self, cfg) {
-                return Err(SpaceError::InvalidConfig(format!(
-                    "constraint '{}' violated ({})",
-                    c.name(),
-                    c.description()
-                )));
-            }
-        }
-        Ok(())
+        self.defs
+            .iter()
+            .zip(cfg)
+            .position(|(def, v)| !def.contains(v))
+            .map(Violation::Domain)
+            .or_else(|| {
+                self.constraints
+                    .iter()
+                    .position(|c| !c.check(self, cfg))
+                    .map(Violation::Constraint)
+            })
     }
 
     /// Encode a config into the unit cube `[0, 1]^D`.
@@ -357,6 +372,33 @@ mod tests {
         assert_eq!(s.index_of("tb").unwrap(), 1);
         assert!(s.index_of("nope").is_err());
         assert!(matches!(s.def_of("u").unwrap(), ParamDef::Ordinal { .. }));
+    }
+
+    #[test]
+    fn check_valid_names_the_first_failure() {
+        let s = SearchSpace::builder()
+            .integer("a", 0, 10)
+            .integer("b", 0, 10)
+            .constraint(crate::Constraint::new("sum", "a + b <= 10", |s, c| {
+                s.get_i64(c, "a").unwrap() + s.get_i64(c, "b").unwrap() <= 10
+            }))
+            .build();
+        let msg = |cfg: Config| match s.check_valid(&cfg) {
+            Err(SpaceError::InvalidConfig(m)) => m,
+            other => panic!("expected an invalid config, got {other:?}"),
+        };
+        assert_eq!(msg(vec![ParamValue::Int(1)]), "arity 1 != 2");
+        assert_eq!(
+            msg(vec![ParamValue::Int(11), ParamValue::Int(12)]),
+            "a: Int(11) outside domain"
+        );
+        assert_eq!(
+            msg(vec![ParamValue::Int(6), ParamValue::Int(6)]),
+            "constraint 'sum' violated (a + b <= 10)"
+        );
+        let ok = vec![ParamValue::Int(4), ParamValue::Int(6)];
+        assert!(s.check_valid(&ok).is_ok() && s.is_valid(&ok));
+        assert!(!s.is_valid(&vec![ParamValue::Int(6), ParamValue::Int(6)]));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for search-space encoding, sampling and
 //! subspaces.
 
-use cets_space::{Constraint, ParamDef, Sampler, SearchSpace, Subspace};
+use cets_space::{draw_feasible, Constraint, ParamDef, SearchSpace, Subspace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -57,28 +57,12 @@ proptest! {
             }))
             .build();
         let mut rng = StdRng::seed_from_u64(seed);
-        let cfg = Sampler::new(&s).uniform(&mut rng).unwrap();
+        let cube = vec![vec![(0.0, 1.0)]; s.dim()];
+        let cfg = draw_feasible(&cube, &mut rng, |u| {
+            s.decode(&u).ok().filter(|c| s.is_valid(c))
+        })
+        .unwrap();
         prop_assert!(s.is_valid(&cfg));
-    }
-
-    #[test]
-    fn lhs_size_and_validity(n in 1usize..30, seed in 0u64..1000) {
-        let s = mixed_space();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let cfgs = Sampler::new(&s).latin_hypercube(n, &mut rng).unwrap();
-        prop_assert_eq!(cfgs.len(), n);
-        for c in &cfgs {
-            prop_assert!(s.is_valid(c));
-        }
-    }
-
-    #[test]
-    fn neighbour_valid_and_in_domain(seed in 0u64..1000, step in 0.01..0.5f64) {
-        let s = mixed_space();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let base = Sampler::new(&s).uniform(&mut rng).unwrap();
-        let n = Sampler::new(&s).neighbour(&base, 0.5, step, &mut rng).unwrap();
-        prop_assert!(s.is_valid(&n));
     }
 
     #[test]

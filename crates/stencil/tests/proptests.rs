@@ -1,11 +1,20 @@
 //! Property-based tests for the stencil mini-app simulator.
 
 use cets_core::Objective;
-use cets_space::Sampler;
+use cets_space::{draw_feasible, Config, SearchSpace};
 use cets_stencil::{StencilApp, StencilProblem};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// One valid configuration, rejection-drawn from the full unit cube.
+fn draw(space: &SearchSpace, rng: &mut StdRng) -> Config {
+    let cube = vec![vec![(0.0, 1.0)]; space.dim()];
+    draw_feasible(&cube, rng, |u| {
+        space.decode(&u).ok().filter(|c| space.is_valid(c))
+    })
+    .unwrap()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -14,7 +23,7 @@ proptest! {
     fn valid_configs_simulate_finite(seed in 0u64..2000) {
         let app = StencilApp::new(StencilProblem::benchmark()).with_noise(0.0);
         let mut rng = StdRng::seed_from_u64(seed);
-        let cfg = Sampler::new(app.space()).uniform(&mut rng).unwrap();
+        let cfg = draw(app.space(), &mut rng);
         let (c, h, r, t) = app.simulate(&cfg);
         prop_assert!(c > 0.0 && h > 0.0 && r > 0.0);
         prop_assert!((t - (c + h + r)).abs() < 1e-12);
@@ -27,7 +36,7 @@ proptest! {
     fn deeper_halo_never_more_exchange_time(seed in 0u64..500) {
         let app = StencilApp::new(StencilProblem::benchmark()).with_noise(0.0);
         let mut rng = StdRng::seed_from_u64(seed);
-        let base = Sampler::new(app.space()).uniform(&mut rng).unwrap();
+        let base = draw(app.space(), &mut rng);
         let sp = app.space();
         let h1 = sp.with_value(&base, "halo_depth", cets_space::ParamValue::Int(1)).unwrap();
         let h4 = sp.with_value(&base, "halo_depth", cets_space::ParamValue::Int(4)).unwrap();
@@ -43,7 +52,7 @@ proptest! {
         // critical rank's compute time.
         let app = StencilApp::new(StencilProblem::benchmark()).with_noise(0.0);
         let mut rng = StdRng::seed_from_u64(seed);
-        let base = Sampler::new(app.space()).uniform(&mut rng).unwrap();
+        let base = draw(app.space(), &mut rng);
         let sp = app.space();
         let small = sp
             .with_value(&base, "px", cets_space::ParamValue::Int(2))
@@ -62,7 +71,7 @@ proptest! {
     fn reduce_interval_only_moves_reduce(seed in 0u64..500, interval in 2i64..50) {
         let app = StencilApp::new(StencilProblem::benchmark()).with_noise(0.0);
         let mut rng = StdRng::seed_from_u64(seed);
-        let base = Sampler::new(app.space()).uniform(&mut rng).unwrap();
+        let base = draw(app.space(), &mut rng);
         let sp = app.space();
         let changed = sp
             .with_value(&base, "reduce_every", cets_space::ParamValue::Int(interval))
@@ -78,7 +87,7 @@ proptest! {
         let noisy = StencilApp::new(StencilProblem::benchmark()).with_seed(seed);
         let clean = StencilApp::new(StencilProblem::benchmark()).with_noise(0.0);
         let mut rng = StdRng::seed_from_u64(seed);
-        let cfg = Sampler::new(noisy.space()).uniform(&mut rng).unwrap();
+        let cfg = draw(noisy.space(), &mut rng);
         let a = noisy.evaluate(&cfg).total;
         let b = clean.evaluate(&cfg).total;
         prop_assert!((a / b - 1.0).abs() < 0.2, "{a} vs {b}");

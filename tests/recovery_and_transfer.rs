@@ -120,30 +120,31 @@ fn transfer_cs1_to_cs2() {
 
 /// The paper's infeasibility observation: a joint high-dimensional search
 /// under tight constraints fails candidate generation, while the
-/// methodology's lower-dimensional searches proceed. We emulate the
-/// constraint wall with a tiny rejection budget.
+/// methodology's lower-dimensional searches proceed. Blind draws over the
+/// full space are valid far less often than over a 3-dim subspace.
 #[test]
 fn highdim_constrained_sampling_fails_gracefully() {
-    use cets_space::{Sampler, SpaceError};
     use rand::SeedableRng;
 
     let sim = TddftSimulator::new(CaseStudy::case2());
-    // Tight budget: the 20-dim space with MPI + 5 occupancy constraints has
-    // low valid density when sampled blindly with few attempts.
-    let sampler = Sampler::new(sim.space()).with_max_attempts(2);
+    // The 20-dim space with MPI + 5 occupancy constraints: count raw
+    // unit-cube draws that are valid, as `exp_highdim_infeasible` does.
+    let full = Subspace::full(sim.space(), sim.default_config()).unwrap();
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-    let mut failures = 0;
-    for _ in 0..50 {
-        if matches!(
-            sampler.uniform(&mut rng),
-            Err(SpaceError::SamplingExhausted { .. })
-        ) {
-            failures += 1;
+    let trials = 2_000;
+    let mut full_ok = 0;
+    for _ in 0..trials {
+        let u: Vec<f64> = (0..full.dim())
+            .map(|_| rand::RngExt::random::<f64>(&mut rng))
+            .collect();
+        if full.is_valid_active(&u) {
+            full_ok += 1;
         }
     }
+    let full_rate = full_ok as f64 / trials as f64;
     assert!(
-        failures > 0,
-        "expected some sampling failures under a tight attempt budget"
+        full_rate < 0.01,
+        "joint 20-dim blind draws should be almost never valid: {full_ok}/{trials}"
     );
 
     // A 3-dim subspace of the same space has a far higher valid density
@@ -167,4 +168,9 @@ fn highdim_constrained_sampling_fails_gracefully() {
         }
     }
     assert!(ok > 10, "low-dim subspace should be often valid: {ok}/100");
+    let sub_rate = ok as f64 / 100.0;
+    assert!(
+        sub_rate > 10.0 * full_rate,
+        "subspace rate {sub_rate} should dwarf the joint rate {full_rate}"
+    );
 }
