@@ -3,6 +3,7 @@
 use crate::kernel::{Kernel, KernelKind, LOG_PARAM_RANGE};
 use crate::optimize::{lbfgs, LbfgsOptions};
 use crate::{GpError, Result};
+use cets_linalg::simd::Isa;
 use cets_linalg::{par, Cholesky, Matrix, ParConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -263,11 +264,13 @@ impl Gp {
     /// Predictive mean and variance (original units) at every point of a
     /// batch — the vectorized form of [`Gp::predict`].
     ///
-    /// Builds the `n × m` cross-covariance block K★ in one pass, computes
-    /// all means with a single row-sweep against `α`, and runs one blocked
-    /// multi-column forward solve ([`Cholesky::solve_lower_multi`]) for
-    /// the variances — no per-candidate `Vec` allocations. This is what
-    /// the BO candidate-scoring loop calls.
+    /// Builds the `n × m` cross-covariance block K★ in one pass (the
+    /// cross-covariance fill the sparse tier also runs, at full vector
+    /// width), computes all means with a single row-sweep against `α`,
+    /// and runs one blocked multi-column forward solve
+    /// ([`Cholesky::solve_lower_multi`]) for the variances — no
+    /// per-candidate `Vec` allocations. This is what the BO
+    /// candidate-scoring loop calls.
     ///
     /// Guarantees:
     /// * **chunk invariance** — every candidate's result is computed by a
@@ -288,26 +291,13 @@ impl Gp {
             return Vec::new();
         }
         debug_assert!(xs.iter().all(|p| p.len() == self.kernel.dim()));
-        let w = self.kernel.inv_sq_lengthscales();
-        // Dimension-major transpose of the queries: the r² accumulation
-        // below becomes `d` contiguous element-wise sweeps per training
-        // row (independent accumulators, vectorizable) instead of an
-        // FP-latency-bound dot product per (i, j) entry.
+        // Against the dimension-major queries, the r² accumulation is
+        // contiguous element-wise sweeps per training row (independent
+        // accumulators, vectorizable) instead of an FP-latency-bound dot
+        // product per (i, j) entry.
         let qt = dim_major(xs);
         let mut kstar = Matrix::zeros(n, m);
-        for (i, xi) in self.x.iter().enumerate() {
-            let row = kstar.row_mut(i);
-            for (k, (&xik, &wk)) in xi.iter().zip(&w).enumerate() {
-                let qk = &qt[k * m..(k + 1) * m];
-                for (rj, &qv) in row.iter_mut().zip(qk) {
-                    let dv = xik - qv;
-                    *rj += wk * dv * dv;
-                }
-            }
-            for rj in row.iter_mut() {
-                *rj = self.kernel.eval_r2(*rj);
-            }
-        }
+        cross_cov_rows(&self.kernel, &self.x, &qt, m, kstar.as_mut_slice());
         // Means: one sweep over K★'s rows, ascending i per column.
         let mut mean = vec![0.0; m];
         for (i, &ai) in self.alpha.iter().enumerate() {
@@ -593,6 +583,96 @@ pub(crate) fn weighted_r2_rows(
             3 => r2_group::<3>(xt, n, w, k0, rows, r2),
             _ => r2_group::<4>(xt, n, w, k0, rows, r2),
         }
+    }
+}
+
+/// Cross-covariance rows `out[i·n + j] = k(p_i, x_j)` of the points `p`
+/// against the `n` points whose dimension-major copy is `xt`. Each `r²`
+/// starts at `0.0` and adds `(w_k·Δ)·Δ` (`w_k = 1/ℓ_k²`, `Δ = p_ik −
+/// x_jk`) in ascending `k`, up to four dimensions per contiguous sweep
+/// over the row; the profile is applied row by row while the row is in
+/// cache. The one fill behind [`Gp::predict_batch`],
+/// `SparseGp::predict_batch` and the sparse tier's `K_mn`: bit-identical
+/// however a caller splits `p`, and in both compiled copies
+/// (`cets_linalg::simd`).
+pub(crate) fn cross_cov_rows(
+    kernel: &Kernel,
+    p: &[Vec<f64>],
+    xt: &[f64],
+    n: usize,
+    out: &mut [f64],
+) {
+    cross_cov_rows_on(Isa::detect(), kernel, p, xt, n, out)
+}
+
+/// [`cross_cov_rows`] on the compiled copy `isa`.
+fn cross_cov_rows_on(
+    isa: Isa,
+    kernel: &Kernel,
+    p: &[Vec<f64>],
+    xt: &[f64],
+    n: usize,
+    out: &mut [f64],
+) {
+    if isa.is_avx2() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            #[target_feature(enable = "avx2")]
+            fn avx2(kernel: &Kernel, p: &[Vec<f64>], xt: &[f64], n: usize, out: &mut [f64]) {
+                cross_cov_body(kernel, p, xt, n, out)
+            }
+            // SAFETY: an AVX2 `Isa` exists only on a CPU that runs AVX2.
+            return unsafe { avx2(kernel, p, xt, n, out) };
+        }
+    }
+    cross_cov_body(kernel, p, xt, n, out)
+}
+
+/// The source of both copies of [`cross_cov_rows`].
+#[inline(always)]
+fn cross_cov_body(kernel: &Kernel, p: &[Vec<f64>], xt: &[f64], n: usize, out: &mut [f64]) {
+    let w = kernel.inv_sq_lengthscales();
+    for (pi, row) in p.iter().zip(out.chunks_exact_mut(n)) {
+        // With no dimensions every r² is the starting 0.0.
+        if w.is_empty() {
+            row.fill(0.0);
+        }
+        for (k0, width) in dim_groups(w.len()) {
+            match width {
+                1 => cross_group::<1>(pi, &w, xt, n, k0, row),
+                2 => cross_group::<2>(pi, &w, xt, n, k0, row),
+                3 => cross_group::<3>(pi, &w, xt, n, k0, row),
+                _ => cross_group::<4>(pi, &w, xt, n, k0, row),
+            }
+        }
+        for r in row.iter_mut() {
+            *r = kernel.eval_r2(*r);
+        }
+    }
+}
+
+/// [`cross_cov_rows`]' sweep over one row for dimensions `k0..k0 + G`;
+/// the group at `k0 = 0` starts each entry at `0.0`.
+#[inline(always)]
+fn cross_group<const G: usize>(
+    pi: &[f64],
+    w: &[f64],
+    xt: &[f64],
+    n: usize,
+    k0: usize,
+    row: &mut [f64],
+) {
+    let cols = columns::<G>(xt, n, k0);
+    let cols: [&[f64]; G] = std::array::from_fn(|q| &cols[q][..row.len()]);
+    let zq: [f64; G] = std::array::from_fn(|q| pi[k0 + q]);
+    let wq: [f64; G] = std::array::from_fn(|q| w[k0 + q]);
+    for (j, r) in row.iter_mut().enumerate() {
+        let mut s = if k0 == 0 { 0.0 } else { *r };
+        for q in 0..G {
+            let dv = zq[q] - cols[q][j];
+            s += wq[q] * dv * dv;
+        }
+        *r = s;
     }
 }
 
@@ -1282,6 +1362,62 @@ mod tests {
         let base = run(1);
         for workers in [2, 3, 4] {
             assert_eq!(run(workers), base, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn cross_fill_matches_per_dimension_loop_in_both_copies() {
+        // The cross-covariance block as each caller built it before the
+        // shared fill: one sweep per dimension adding `w_k·Δ·Δ` to a
+        // zeroed row, then the profile.
+        fn oracle(kernel: &Kernel, p: &[Vec<f64>], x: &[Vec<f64>]) -> Vec<f64> {
+            let n = x.len();
+            let w = kernel.inv_sq_lengthscales();
+            let xt = dim_major(x);
+            let mut out = vec![0.0; p.len() * n];
+            for (pi, row) in p.iter().zip(out.chunks_exact_mut(n)) {
+                for (k, (&pik, &wk)) in pi.iter().zip(&w).enumerate() {
+                    for (r, &xv) in row.iter_mut().zip(&xt[k * n..(k + 1) * n]) {
+                        let dv = pik - xv;
+                        *r += wk * dv * dv;
+                    }
+                }
+                for r in row.iter_mut() {
+                    *r = kernel.eval_r2(*r);
+                }
+            }
+            out
+        }
+        let mut copies = vec![Isa::baseline()];
+        match Isa::avx2() {
+            Some(isa) => copies.push(isa),
+            None => eprintln!("skipped the AVX2 copy: this CPU does not run AVX2"),
+        }
+        let mut rng = StdRng::seed_from_u64(11);
+        // d of every residue mod 4; 37 columns end off every lane width.
+        for d in [1, 2, 3, 4, 5, 6, 7, 20] {
+            let mut points = |count: usize| -> Vec<Vec<f64>> {
+                (0..count)
+                    .map(|_| (0..d).map(|_| rng.random::<f64>()).collect())
+                    .collect()
+            };
+            let (p, x) = (points(9), points(37));
+            let xt = dim_major(&x);
+            for kind in [
+                KernelKind::SquaredExp,
+                KernelKind::Matern32,
+                KernelKind::Matern52,
+            ] {
+                let ls = (0..d).map(|k| 0.2 + 0.13 * k as f64).collect();
+                let kernel = Kernel::with_params(kind, 1.7, ls);
+                let expect = oracle(&kernel, &p, &x);
+                for &isa in &copies {
+                    let mut got = vec![f64::NAN; p.len() * x.len()];
+                    cross_cov_rows_on(isa, &kernel, &p, &xt, x.len(), &mut got);
+                    let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&expect), "d = {d}, {kind:?}, {isa:?}");
+                }
+            }
         }
     }
 

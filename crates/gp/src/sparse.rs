@@ -46,13 +46,24 @@
 //! computed via the symmetric [`Matrix::aat`] kernel and one
 //! matrix–vector sweep. Both kernel blocks are rebuilt per evaluation
 //! from dimension-major copies of the inputs, `K_mm` by the exact tier's
-//! pair sweep over the inducing points and `K_mn` by `d` fused sweeps over
-//! the training inputs, so no `O(m²·d)` or `O(n·m·d)` tensor is ever
-//! materialized: an evaluation's working set is the `m × n` cross block,
-//! the `m × m` factors and the packed inducing-pair `r²`.
+//! pair sweep over the inducing points and `K_mn` by the cross-covariance
+//! fill [`Gp::predict_batch`] also runs (up to four dimensions per sweep
+//! over the training inputs, the profile applied row by row), so no
+//! `O(m²·d)` or `O(n·m·d)` tensor is ever materialized: an evaluation's
+//! working set is the `m × n` cross block, the `m × m` factors and the
+//! packed inducing-pair `r²`.
+//!
+//! The three kernels that take most of an evaluation (that fill, the
+//! forward solve `L⁻¹K_mn` of [`Cholesky::solve_lower_multi`] and `VVᵀ`)
+//! run at full vector width: each is one source compiled for the
+//! baseline target and again for AVX2, picked at run time
+//! (`cets_linalg::simd`). Their lanes run across independent outputs
+//! and do the scalar loops' IEEE operations without FMA, so the ELBO's
+//! bits are the same in both copies and at every worker count.
 
 use crate::gp::{
-    check_finite, dim_major, hyperparameters, standardization, weighted_r2_rows, Gp, GpConfig,
+    check_finite, cross_cov_rows, dim_major, hyperparameters, standardization, weighted_r2_rows,
+    Gp, GpConfig,
 };
 use crate::kernel::Kernel;
 use crate::optimize::nelder_mead;
@@ -310,26 +321,14 @@ fn sgpr_core(
     }
     let l_mm = Cholesky::new_jittered_with(kmm, workers).ok()?;
 
-    // K_mn: d fused multiply-add sweeps over the dimension-major inputs,
-    // then one profile pass. Inducing rows are disjoint in the row-major
-    // buffer and every entry accumulates ascending-k, so row chunks are
-    // bit-identical at any worker count.
+    // K_mn: the shared cross-covariance fill over the dimension-major
+    // inputs. Inducing rows are disjoint in the row-major buffer and every
+    // entry accumulates ascending-k, so row chunks are bit-identical at any
+    // worker count.
     let kmn = &mut scratch.kmn;
     let fill_rows = |rows: &mut [f64], lo: usize| {
-        rows.fill(0.0);
-        for (k, &wk) in w.iter().enumerate() {
-            let xk = &data.xt[k * n..(k + 1) * n];
-            for (i, row) in rows.chunks_exact_mut(n).enumerate() {
-                let zik = data.z[lo + i][k];
-                for (r, &xv) in row.iter_mut().zip(xk) {
-                    let dv = zik - xv;
-                    *r += wk * dv * dv;
-                }
-            }
-        }
-        for r in rows.iter_mut() {
-            *r = kernel.eval_r2(*r);
-        }
+        let z = &data.z[lo..lo + rows.len() / n];
+        cross_cov_rows(kernel, z, data.xt, n, rows);
     };
     let ww = if m * n < 16_384 {
         1
@@ -618,22 +617,9 @@ impl SparseGp {
             return Vec::new();
         }
         debug_assert!(xs.iter().all(|p| p.len() == self.kernel.dim()));
-        let w = self.kernel.inv_sq_lengthscales();
         let qt = dim_major(xs);
         let mut kstar = Matrix::zeros(m, q);
-        for (i, zi) in self.z.iter().enumerate() {
-            let row = kstar.row_mut(i);
-            for (k, (&zik, &wk)) in zi.iter().zip(&w).enumerate() {
-                let qk = &qt[k * q..(k + 1) * q];
-                for (rj, &qv) in row.iter_mut().zip(qk) {
-                    let dv = zik - qv;
-                    *rj += wk * dv * dv;
-                }
-            }
-            for rj in row.iter_mut() {
-                *rj = self.kernel.eval_r2(*rj);
-            }
-        }
+        cross_cov_rows(&self.kernel, &self.z, &qt, q, kstar.as_mut_slice());
         // V = L⁻¹K⋆, then W = L_B⁻¹V, both in place.
         if self.l_mm.solve_lower_multi(&mut kstar).is_err() {
             return xs.iter().map(|p| self.predict(p)).collect();

@@ -1,16 +1,18 @@
 //! Pinned output bits of GP training.
 //!
 //! [`Gp::train`] on fixed seeded datasets at `(n, d)` = (50, 5), (95, 10)
-//! and (125, 20), at one and two workers, and one [`SparseGp::train`] at
-//! n = 300, d = 20, must reproduce recorded constants bit for bit: the log
-//! marginal likelihood (or ELBO), every kernel log-parameter and the noise
-//! variance. Every BO trajectory and result table is built on these bits,
-//! so a change to the per-element floating-point order of the kernel
-//! build, the likelihood or its gradient fails here instead of silently
-//! moving them. The constants were recorded when the kernel build still
-//! read a cached per-dimension pair tensor.
+//! and (125, 20), at one and two workers, and [`SparseGp::train`] at
+//! n = 300, d = 20 and at n = 150, d = 7 with 45 inducing points, must
+//! reproduce recorded constants bit for bit: the log marginal likelihood
+//! (or ELBO), every kernel log-parameter and the noise variance. Every BO
+//! trajectory and result table is built on these bits, so a change to the
+//! per-element floating-point order of the kernel build, the likelihood
+//! or its gradient fails here instead of silently moving them. The
+//! constants were recorded when the kernel build still read a cached
+//! per-dimension pair tensor, and the n = 150 pin while the ELBO kernels
+//! were still scalar loops.
 
-use cets_gp::{Gp, GpConfig, Kernel, ParConfig, SparseGp};
+use cets_gp::{Gp, GpConfig, Kernel, ParConfig, SparseGp, SparseOptions};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -175,4 +177,41 @@ fn sparse_n300_d20() {
             0x3f86b19f00b430f6,
         ]
     );
+}
+
+/// The shape the vector kernels split least evenly: neither `d` nor the
+/// inducing count is a multiple of four, and at two workers the forward
+/// solve runs in column stripes.
+#[test]
+fn sparse_n150_d7_m45() {
+    let (x, y) = dataset(150, 7, 150);
+    for workers in [1, 2] {
+        let cfg = GpConfig {
+            seed: 150,
+            par: ParConfig::fixed(workers),
+            sparse: SparseOptions {
+                m_inducing: 45,
+                ..SparseOptions::default()
+            },
+            ..GpConfig::default()
+        };
+        let sp = SparseGp::train(&x, &y, &cfg).unwrap();
+        assert_eq!(sp.n_inducing(), 45);
+        assert_eq!(
+            bits(sp.elbo(), sp.kernel(), sp.noise()),
+            [
+                0xc06a89a606162d6e,
+                0xc008d5ede6242332,
+                0xc008c0ad3bdb104d,
+                0x3fc6ae7fd3d5defe,
+                0xbff8da93b01f148f,
+                0xbff52edded8db1a1,
+                0xbf7668ecbc2c093f,
+                0xbff2316997d46eda,
+                0xbff20e124c10000a,
+                0x3fed1f2c29c3e1e1,
+            ],
+            "{workers} worker(s)"
+        );
+    }
 }

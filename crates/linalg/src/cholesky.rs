@@ -1,6 +1,8 @@
 //! Cholesky factorization with automatic jitter escalation.
 
+use crate::simd::Isa;
 use crate::{par, LinalgError, Matrix, Result};
+use std::ops::Range;
 
 /// Panel width of the blocked factorization (and the dispatch threshold:
 /// matrices below `2 * BLOCK` use the scalar kernel, whose loop overhead is
@@ -307,8 +309,12 @@ impl Cholesky {
     /// bit-for-bit — per-column arithmetic order is identical).
     ///
     /// Columns are processed in cache-sized chunks so the `O(n² m)` sweep
-    /// reuses each `L` row across a whole chunk; this is the batched
-    /// kernel behind `Gp::predict_batch`.
+    /// reuses each `L` row across a whole chunk, and each pass over a
+    /// chunk row subtracts four solved rows, so the row is loaded and
+    /// stored once per four terms. The kernel runs at full vector width
+    /// (AVX2 where the CPU has it, see `cets_linalg::simd`), each lane doing
+    /// the scalar loop's IEEE operations. This is the batched kernel
+    /// behind `Gp::predict_batch` and the sparse GP's `L⁻¹K_mn`.
     pub fn solve_lower_multi(&self, b: &mut Matrix) -> Result<()> {
         self.solve_lower_multi_with(b, par::global_threads())
     }
@@ -318,8 +324,19 @@ impl Cholesky {
     /// Workers own disjoint contiguous column stripes; since each column's
     /// forward substitution is independent and its arithmetic order does
     /// not depend on the stripe boundaries, the result is bit-identical at
-    /// every worker count. `workers <= 1` takes the sequential path.
+    /// every worker count. `workers <= 1` solves the whole width as one
+    /// stripe.
     pub fn solve_lower_multi_with(&self, b: &mut Matrix, workers: usize) -> Result<()> {
+        self.solve_lower_multi_on(b, workers, Isa::detect())
+    }
+
+    /// [`Cholesky::solve_lower_multi_with`] on the compiled copy `isa`.
+    pub(crate) fn solve_lower_multi_on(
+        &self,
+        b: &mut Matrix,
+        workers: usize,
+        isa: Isa,
+    ) -> Result<()> {
         let n = self.dim();
         if b.rows() != n {
             return Err(LinalgError::ShapeMismatch(format!(
@@ -328,69 +345,13 @@ impl Cholesky {
             )));
         }
         let m = b.cols();
-        // Column chunking keeps the active window of B (n × chunk) hot;
-        // per-column arithmetic is unaffected by the chunk boundaries.
-        const CHUNK: usize = 64;
         // A stripe below one cache chunk per worker is not worth a spawn.
-        let w = workers.min(m.div_ceil(CHUNK));
-        if w <= 1 {
-            let mut j0 = 0;
-            while j0 < m {
-                let j1 = (j0 + CHUNK).min(m);
-                for i in 0..n {
-                    let (done, rest) = b.as_mut_slice().split_at_mut(i * m);
-                    let row_i = &mut rest[j0..j1];
-                    for k in 0..i {
-                        let lik = self.l[(i, k)];
-                        let row_k = &done[k * m + j0..k * m + j1];
-                        for (bi, &bk) in row_i.iter_mut().zip(row_k) {
-                            *bi -= lik * bk;
-                        }
-                    }
-                    let inv = self.l[(i, i)];
-                    for bi in row_i.iter_mut() {
-                        *bi /= inv;
-                    }
-                }
-                j0 = j1;
-            }
-            return Ok(());
-        }
-        let l = &self.l;
+        let w = workers.max(1).min(m.div_ceil(SOLVE_CHUNK));
         let base = par::SendPtr::new(b.as_mut_slice().as_mut_ptr());
-        par::for_each_chunk(w, m, |r| {
-            // Each worker reads and writes only its own column stripe
-            // [r.start, r.end) of B (plus the shared read-only factor L),
-            // running the same chunked sweep the sequential path runs.
-            let p = base.get();
-            let mut j0 = r.start;
-            while j0 < r.end {
-                let j1 = (j0 + CHUNK).min(r.end);
-                let width = j1 - j0;
-                for i in 0..n {
-                    // SAFETY: column stripes are disjoint across workers;
-                    // row `i` of the stripe is written only here, rows
-                    // `k < i` of the stripe were written by this worker
-                    // earlier in the sweep and are now read-only.
-                    let row_i = unsafe { std::slice::from_raw_parts_mut(p.add(i * m + j0), width) };
-                    for k in 0..i {
-                        let lik = l[(i, k)];
-                        // SAFETY: as above — an earlier row of this
-                        // worker's own stripe.
-                        let row_k = unsafe {
-                            std::slice::from_raw_parts(p.add(k * m + j0) as *const f64, width)
-                        };
-                        for (bi, &bk) in row_i.iter_mut().zip(row_k) {
-                            *bi -= lik * bk;
-                        }
-                    }
-                    let inv = l[(i, i)];
-                    for bi in row_i.iter_mut() {
-                        *bi /= inv;
-                    }
-                }
-                j0 = j1;
-            }
+        par::for_each_chunk(w, m, |cols| {
+            // SAFETY: `base` is the n × m buffer of `b`, and the column
+            // stripes of distinct workers are disjoint.
+            unsafe { forward_stripe(isa, &self.l, base.get(), m, cols) };
         });
         Ok(())
     }
@@ -642,6 +603,90 @@ impl Cholesky {
         }
         self.l = trial;
         Ok(())
+    }
+}
+
+/// Columns per cache chunk of the forward-solve stripe: the active
+/// window of `B` (`n × SOLVE_CHUNK`) stays in L1 while the sweep over `L`
+/// reuses it; per-column arithmetic is unaffected by the chunking.
+const SOLVE_CHUNK: usize = 64;
+
+/// Forward substitution `L Y = B` over the columns `cols` of the
+/// row-major `n × m` right-hand side at `b` ([`Cholesky::solve_lower_multi`]),
+/// on the compiled copy `isa`.
+///
+/// # Safety
+///
+/// `b` points to a live row-major buffer of `l.rows() × m` values, and no
+/// other thread touches its columns `cols` during the call.
+unsafe fn forward_stripe(isa: Isa, l: &Matrix, b: *mut f64, m: usize, cols: Range<usize>) {
+    if isa.is_avx2() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            #[target_feature(enable = "avx2")]
+            unsafe fn avx2(l: &Matrix, b: *mut f64, m: usize, cols: Range<usize>) {
+                forward_stripe_body(l, b, m, cols)
+            }
+            // SAFETY: an AVX2 `Isa` exists only on a CPU that runs AVX2;
+            // the buffer contract is the caller's.
+            return unsafe { avx2(l, b, m, cols) };
+        }
+    }
+    // SAFETY: the caller's buffer contract.
+    unsafe { forward_stripe_body(l, b, m, cols) }
+}
+
+/// The source of both copies of [`forward_stripe`]. Row `i` of a chunk
+/// becomes `(b_i − Σ_k L_ik·y_k) / L_ii`, subtracting in ascending `k`:
+/// four solved rows per pass, then the remainder one at a time.
+///
+/// # Safety
+///
+/// As [`forward_stripe`].
+#[inline(always)]
+unsafe fn forward_stripe_body(l: &Matrix, b: *mut f64, m: usize, cols: Range<usize>) {
+    let n = l.rows();
+    let mut j0 = cols.start;
+    while j0 < cols.end {
+        let width = (cols.end - j0).min(SOLVE_CHUNK);
+        // Row `r` of the chunk is the `width` values from `b + r·m + j0`,
+        // inside the buffer and inside this call's columns. Row `i` is the
+        // only one written, and only rows `k < i` are read alongside it,
+        // so no shared slice overlaps the mutable one.
+        // SAFETY: `r < n` at every call below, so the row lies in the
+        // caller's buffer and columns.
+        let row = |r: usize| unsafe { std::slice::from_raw_parts(b.add(r * m + j0), width) };
+        for i in 0..n {
+            let li = l.row(i);
+            // SAFETY: as for `row`; no `row(i)` is alive while this is.
+            let yi = unsafe { std::slice::from_raw_parts_mut(b.add(i * m + j0), width) };
+            let mut k = 0;
+            while k + 4 <= i {
+                let (l0, l1, l2, l3) = (li[k], li[k + 1], li[k + 2], li[k + 3]);
+                let (y0, y1, y2, y3) = (row(k), row(k + 1), row(k + 2), row(k + 3));
+                for j in 0..width {
+                    let mut v = yi[j];
+                    v -= l0 * y0[j];
+                    v -= l1 * y1[j];
+                    v -= l2 * y2[j];
+                    v -= l3 * y3[j];
+                    yi[j] = v;
+                }
+                k += 4;
+            }
+            while k < i {
+                let lik = li[k];
+                for (v, &y) in yi.iter_mut().zip(row(k)) {
+                    *v -= lik * y;
+                }
+                k += 1;
+            }
+            let piv = li[i];
+            for v in yi.iter_mut() {
+                *v /= piv;
+            }
+        }
+        j0 += width;
     }
 }
 

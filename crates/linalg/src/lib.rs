@@ -39,6 +39,8 @@ mod eigen;
 mod lu;
 mod matrix;
 pub mod par;
+#[doc(hidden)]
+pub mod simd;
 pub mod vecops;
 
 pub use cholesky::Cholesky;

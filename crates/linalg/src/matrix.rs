@@ -1,5 +1,6 @@
 //! Dense row-major matrix.
 
+use crate::simd::Isa;
 use crate::{par, LinalgError, Result};
 
 /// A dense, row-major `f64` matrix.
@@ -272,10 +273,14 @@ impl Matrix {
     ///
     /// Only the lower triangle is computed; the upper triangle is mirrored
     /// afterwards, halving the flops versus `mat_mul(&self.transpose())`.
-    /// Rows are register-blocked in pairs so the shared `row_j` loads feed
-    /// two independent accumulator chains. Each entry still sums in
-    /// ascending `k`, so results are independent of the blocking. This is
-    /// the SYRK behind the sparse GP's inner factor `B = I + A Aᵀ`.
+    /// Four rows at a time are packed into a `k`-major panel, and a
+    /// register tile of four output rows runs its lanes across the
+    /// panel's four output columns, at full vector width (AVX2 where the
+    /// CPU has it, see `cets_linalg::simd`). Each entry is still one
+    /// ascending-`k` dot, each lane doing the scalar loop's IEEE
+    /// operations, so results are independent of the tiling and of the
+    /// vector width. This is the SYRK behind the sparse GP's inner factor
+    /// `B = I + A Aᵀ`.
     pub fn aat(&self) -> Matrix {
         self.aat_with(par::global_threads())
     }
@@ -284,10 +289,15 @@ impl Matrix {
     ///
     /// Workers own disjoint contiguous ranges of output rows (triangularly
     /// balanced, since row `i` costs `i·n` flops); every Gram entry is one
-    /// ascending-`k` dot product regardless of the partition or the pair
-    /// blocking, so the result is bit-identical at any worker count.
+    /// ascending-`k` dot product regardless of the partition or the
+    /// tiling, so the result is bit-identical at any worker count.
     /// `workers <= 1` (and small Gram matrices) takes the sequential path.
     pub fn aat_with(&self, workers: usize) -> Matrix {
+        self.aat_on(workers, Isa::detect())
+    }
+
+    /// [`Matrix::aat_with`] on the compiled copy `isa`.
+    pub(crate) fn aat_on(&self, workers: usize, isa: Isa) -> Matrix {
         let (m, n) = (self.rows, self.cols);
         let mut out = Matrix::zeros(m, m);
         // Below ~16k multiply-adds a spawn costs more than it saves.
@@ -297,14 +307,14 @@ impl Matrix {
             workers.min(m.div_ceil(2))
         };
         if w <= 1 {
-            self.aat_rows(&mut out.data, 0, m);
+            self.aat_rows(isa, &mut out.data, 0, m);
         } else {
             let mut rest: &mut [f64] = &mut out.data;
             std::thread::scope(|scope| {
                 for r in par::triangular_ranges(m, w) {
                     let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(r.len() * m);
                     rest = tail;
-                    scope.spawn(move || self.aat_rows(chunk, r.start, r.end));
+                    scope.spawn(move || self.aat_rows(isa, chunk, r.start, r.end));
                 }
             });
         }
@@ -317,45 +327,76 @@ impl Matrix {
     }
 
     /// Lower-triangle rows `lo..hi` of the Gram matrix, written into
-    /// `out_rows` (the storage of output rows `lo..hi`). Rows are
-    /// register-blocked in pairs within the range; each entry is a single
-    /// ascending-`k` dot, so the pairing does not affect results.
-    fn aat_rows(&self, out_rows: &mut [f64], lo: usize, hi: usize) {
-        let (m, n) = (self.rows, self.cols);
-        let mut i = lo;
-        while i < hi {
-            if i + 1 < hi {
-                let row_i0 = self.row(i);
-                let row_i1 = self.row(i + 1);
-                for j in 0..=i {
-                    let row_j = &self.data[j * n..(j + 1) * n];
-                    let (mut s0, mut s1) = (0.0, 0.0);
-                    for (k, &bj) in row_j.iter().enumerate() {
-                        s0 += row_i0[k] * bj;
-                        s1 += row_i1[k] * bj;
-                    }
-                    out_rows[(i - lo) * m + j] = s0;
-                    out_rows[(i + 1 - lo) * m + j] = s1;
+    /// `out_rows` (the storage of output rows `lo..hi`), on the compiled
+    /// copy `isa`.
+    fn aat_rows(&self, isa: Isa, out_rows: &mut [f64], lo: usize, hi: usize) {
+        if isa.is_avx2() {
+            #[cfg(target_arch = "x86_64")]
+            {
+                #[target_feature(enable = "avx2")]
+                fn avx2(a: &Matrix, out_rows: &mut [f64], lo: usize, hi: usize) {
+                    a.aat_rows_body(out_rows, lo, hi)
                 }
-                // The (i+1, i+1) diagonal entry is not covered by the pair.
-                let mut d = 0.0;
-                for &v in row_i1 {
-                    d += v * v;
-                }
-                out_rows[(i + 1 - lo) * m + i + 1] = d;
-                i += 2;
-            } else {
-                let row_i = self.row(i);
-                for j in 0..=i {
-                    let row_j = &self.data[j * n..(j + 1) * n];
-                    let mut s = 0.0;
-                    for (a, b) in row_i.iter().zip(row_j) {
-                        s += a * b;
-                    }
-                    out_rows[(i - lo) * m + j] = s;
-                }
-                i += 1;
+                // SAFETY: an AVX2 `Isa` exists only on a CPU that runs
+                // AVX2.
+                return unsafe { avx2(self, out_rows, lo, hi) };
             }
+        }
+        self.aat_rows_body(out_rows, lo, hi)
+    }
+
+    /// The source of both copies of [`Matrix::aat_rows`]. For each block
+    /// of four columns `j0..j0 + 4` it packs those rows of `self` into a
+    /// `k`-major panel (zero lanes past the last row), then fills the
+    /// block's entries on and below the diagonal in tiles of four output
+    /// rows.
+    #[inline(always)]
+    fn aat_rows_body(&self, out_rows: &mut [f64], lo: usize, hi: usize) {
+        let (m, n) = (self.rows, self.cols);
+        let mut panel = vec![0.0; 4 * n];
+        for j0 in (0..hi).step_by(4) {
+            panel.fill(0.0);
+            for q in 0..(m - j0).min(4) {
+                for (k, &v) in self.row(j0 + q).iter().enumerate() {
+                    panel[4 * k + q] = v;
+                }
+            }
+            for i in (lo.max(j0)..hi).step_by(4) {
+                self.aat_tile(&panel, i, j0, out_rows, lo..hi);
+            }
+        }
+    }
+
+    /// The Gram entries `(i + r, j0 + q)` on or below the diagonal, for
+    /// the rows `i..i + 4` inside `rows` and the columns `j0..j0 + 4`
+    /// packed in `panel`: lane `q` of row `r` sums `self[i + r, k]·panel[k][q]`
+    /// from `0.0` in ascending `k`. Past the end of `rows` the tile
+    /// repeats the last row and drops the result.
+    #[inline(always)]
+    fn aat_tile(
+        &self,
+        panel: &[f64],
+        i: usize,
+        j0: usize,
+        out_rows: &mut [f64],
+        rows: std::ops::Range<usize>,
+    ) {
+        let m = self.rows;
+        let a: [&[f64]; 4] = std::array::from_fn(|r| self.row((i + r).min(rows.end - 1)));
+        let mut acc = [[0.0; 4]; 4];
+        for (k, p) in panel.chunks_exact(4).enumerate() {
+            for r in 0..4 {
+                let x = a[r][k];
+                for q in 0..4 {
+                    acc[r][q] += x * p[q];
+                }
+            }
+        }
+        for (r, lanes) in acc.iter().enumerate().take(rows.end - i) {
+            // Keep the lanes on or below the diagonal: columns `j0..=i + r`.
+            let cols = (i + r + 1 - j0).min(4);
+            let at = (i + r - rows.start) * m + j0;
+            out_rows[at..at + cols].copy_from_slice(&lanes[..cols]);
         }
     }
 

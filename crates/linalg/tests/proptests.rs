@@ -1,5 +1,6 @@
 //! Property-based tests for the dense linear algebra substrate.
 
+use cets_linalg::simd::{self, Isa};
 use cets_linalg::{vecops, Cholesky, Lu, Matrix, SymEigen};
 use proptest::prelude::*;
 
@@ -282,6 +283,142 @@ proptest! {
             for w in [2usize, 4] {
                 let p = a.aat_with(w);
                 prop_assert_eq!(p.as_slice(), base.as_slice(), "m={} n={} w={}", m, n, w);
+            }
+        }
+    }
+}
+
+/// The compiled copies of the vector kernels this CPU runs, baseline
+/// first. Says so when the AVX2 copy cannot run here, so a pass on such a
+/// CPU does not read as a pass of both copies.
+fn copies() -> Vec<Isa> {
+    let mut v = vec![Isa::baseline()];
+    match Isa::avx2() {
+        Some(isa) => v.push(isa),
+        None => eprintln!("skipped the AVX2 copy: this CPU does not run AVX2"),
+    }
+    v
+}
+
+/// `rows × cols` values in `[-1, 1)` that round differently under any
+/// reassociation, drawn from a splitmix64 stream.
+fn ragged(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut state = seed;
+    Matrix::from_fn(rows, cols, |_, _| {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+    })
+}
+
+/// The Gram product `A Aᵀ` as the scalar kernel computed it before the
+/// panel kernel: rows in pairs, each entry one ascending-`k` dot from
+/// `0.0`, the upper triangle mirrored.
+fn aat_oracle(a: &Matrix) -> Matrix {
+    let (m, n) = (a.rows(), a.cols());
+    let mut out = Matrix::zeros(m, m);
+    let mut i = 0;
+    while i < m {
+        if i + 1 < m {
+            let (row_i0, row_i1) = (a.row(i), a.row(i + 1));
+            for j in 0..=i {
+                let row_j = a.row(j);
+                let (mut s0, mut s1) = (0.0, 0.0);
+                for k in 0..n {
+                    s0 += row_i0[k] * row_j[k];
+                    s1 += row_i1[k] * row_j[k];
+                }
+                out[(i, j)] = s0;
+                out[(i + 1, j)] = s1;
+            }
+            let mut d = 0.0;
+            for &v in row_i1 {
+                d += v * v;
+            }
+            out[(i + 1, i + 1)] = d;
+            i += 2;
+        } else {
+            for j in 0..=i {
+                let mut s = 0.0;
+                for (x, y) in a.row(i).iter().zip(a.row(j)) {
+                    s += x * y;
+                }
+                out[(i, j)] = s;
+            }
+            i += 1;
+        }
+    }
+    for r in 0..m {
+        for c in (r + 1)..m {
+            out[(r, c)] = out[(c, r)];
+        }
+    }
+    out
+}
+
+/// `L Y = B` as the scalar kernel solved it before the stripe kernel:
+/// per row, one `b_i −= L_ik·y_k` sweep per `k`, then the division.
+fn solve_oracle(l: &Matrix, b: &mut Matrix) {
+    let (n, m) = (b.rows(), b.cols());
+    for i in 0..n {
+        for k in 0..i {
+            let lik = l[(i, k)];
+            for j in 0..m {
+                let y = b[(k, j)];
+                b[(i, j)] -= lik * y;
+            }
+        }
+        for j in 0..m {
+            b[(i, j)] /= l[(i, i)];
+        }
+    }
+}
+
+// Both compiled copies of each vector kernel (`cets_linalg::simd`) against
+// the scalar loop they replace, bit for bit, at row counts of every
+// residue mod 4, column counts off the 64-column chunk grid, and one to
+// three workers.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn vector_aat_matches_scalar_oracle(seed in 0u64..1000) {
+        // 5..8 rows: one partial panel. 44..47 rows × 389 columns: above
+        // the spawn grain, so two and three workers split the rows.
+        for (m, n) in [(5usize, 13usize), (6, 1), (7, 70), (8, 64), (44, 389), (45, 389), (46, 389), (47, 389)] {
+            let a = ragged(m, n, seed ^ (m * 1000 + n) as u64);
+            let expect = aat_oracle(&a);
+            for &isa in &copies() {
+                for w in 1..=3 {
+                    let got = simd::aat(&a, w, isa);
+                    prop_assert_eq!(got.as_slice(), expect.as_slice(), "{}x{} {:?} w={}", m, n, isa, w);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn vector_solve_stripe_matches_scalar_oracle(seed in 0u64..1000) {
+        // Orders of every residue mod 4 (the stripe subtracts four solved
+        // rows per pass); 3 columns: below one chunk; 389: six full
+        // 64-column chunks and a ragged one, split into two or three
+        // stripes.
+        for n in [1usize, 6, 44, 45, 46, 47] {
+            let l = Cholesky::new_jittered_with(&kernel_like(n, seed), 1).unwrap();
+            for m in [3usize, 389] {
+                let rhs = ragged(n, m, seed ^ (n * 1000 + m) as u64);
+                let mut expect = rhs.clone();
+                solve_oracle(l.l(), &mut expect);
+                for &isa in &copies() {
+                    for w in 1..=3 {
+                        let mut got = rhs.clone();
+                        simd::solve_lower_multi(&l, &mut got, w, isa).unwrap();
+                        prop_assert_eq!(got.as_slice(), expect.as_slice(), "n={} m={} {:?} w={}", n, m, isa, w);
+                    }
+                }
             }
         }
     }

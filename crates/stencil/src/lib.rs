@@ -186,19 +186,26 @@ impl StencilApp {
     }
 
     /// Deterministic simulation (no noise), returning
-    /// `(compute, halo, reduce, total)` in seconds for the whole run.
+    /// `(compute, halo, reduce, total)` in seconds for the whole run, or
+    /// four NaNs for a config that lacks a parameter.
     pub fn simulate(&self, cfg: &Config) -> (f64, f64, f64, f64) {
+        self.try_simulate(cfg)
+            .unwrap_or((f64::NAN, f64::NAN, f64::NAN, f64::NAN))
+    }
+
+    /// [`StencilApp::simulate`]; `None` when `cfg` lacks a parameter.
+    fn try_simulate(&self, cfg: &Config) -> Option<(f64, f64, f64, f64)> {
         let sp = &self.space;
         let a = &self.arch;
-        let g = |n: &str| sp.get_f64(cfg, n).unwrap();
-        let (px, py) = (g("px").max(1.0), g("py").max(1.0));
-        let (tx, ty, tz) = (g("tile_x"), g("tile_y"), g("tile_z"));
-        let unroll = g("unroll");
-        let vecw = g("vec_width");
-        let halo = g("halo_depth").max(1.0);
-        let aggregate = g("aggregate").max(1.0);
-        let overlap = g("comm_overlap");
-        let reduce_every = g("reduce_every").max(1.0);
+        let g = |n: &str| sp.get_f64(cfg, n).ok();
+        let (px, py) = (g("px")?.max(1.0), g("py")?.max(1.0));
+        let (tx, ty, tz) = (g("tile_x")?, g("tile_y")?, g("tile_z")?);
+        let unroll = g("unroll")?;
+        let vecw = g("vec_width")?;
+        let halo = g("halo_depth")?.max(1.0);
+        let aggregate = g("aggregate")?.max(1.0);
+        let overlap = g("comm_overlap")?;
+        let reduce_every = g("reduce_every")?.max(1.0);
 
         let n = self.problem.n as f64;
         let steps = self.problem.steps as f64;
@@ -260,7 +267,7 @@ impl StencilApp {
             + reductions * cells * 8.0 / a.mem_bw * 0.25; // local norm pass
 
         let total = compute + halo_t + reduce_t;
-        (compute, halo_t, reduce_t, total)
+        Some((compute, halo_t, reduce_t, total))
     }
 
     fn noise_factor(&self, cfg: &Config, salt: u64) -> f64 {
@@ -305,22 +312,24 @@ impl Objective for StencilApp {
         }
     }
 
+    /// A 4×4 rank grid, 16³ tiles, no unrolling, two-wide vectors, and
+    /// a halo exchange and a reduction every step: in the parameter order
+    /// of `build_space`, with integers as `Int` and ordinals as `Real`.
     fn default_config(&self) -> Config {
-        self.space
-            .config_from_pairs(&[
-                ("px", 4.0),
-                ("py", 4.0),
-                ("tile_x", 16.0),
-                ("tile_y", 16.0),
-                ("tile_z", 16.0),
-                ("unroll", 1.0),
-                ("vec_width", 2.0),
-                ("halo_depth", 1.0),
-                ("aggregate", 1.0),
-                ("comm_overlap", 0.0),
-                ("reduce_every", 1.0),
-            ])
-            .expect("default stencil config valid")
+        use cets_space::ParamValue::{Int, Real};
+        vec![
+            Int(4),     // px
+            Int(4),     // py
+            Real(16.0), // tile_x
+            Real(16.0), // tile_y
+            Real(16.0), // tile_z
+            Real(1.0),  // unroll
+            Real(2.0),  // vec_width
+            Int(1),     // halo_depth
+            Int(1),     // aggregate
+            Int(0),     // comm_overlap
+            Int(1),     // reduce_every
+        ]
     }
 }
 
@@ -339,6 +348,38 @@ mod tests {
         assert_eq!(a.space().dim(), 11);
         assert_eq!(StencilApp::owners().len(), 11);
         assert!(a.space().is_valid(&a.default_config()));
+    }
+
+    #[test]
+    fn default_config_is_the_named_default() {
+        let a = app();
+        let named = a
+            .space()
+            .config_from_pairs(&[
+                ("px", 4.0),
+                ("py", 4.0),
+                ("tile_x", 16.0),
+                ("tile_y", 16.0),
+                ("tile_z", 16.0),
+                ("unroll", 1.0),
+                ("vec_width", 2.0),
+                ("halo_depth", 1.0),
+                ("aggregate", 1.0),
+                ("comm_overlap", 0.0),
+                ("reduce_every", 1.0),
+            ])
+            .unwrap();
+        assert_eq!(a.default_config(), named);
+    }
+
+    #[test]
+    fn simulate_is_nan_for_a_config_that_lacks_a_parameter() {
+        let a = app();
+        let mut cfg = a.default_config();
+        cfg.pop();
+        let (c, h, r, t) = a.simulate(&cfg);
+        assert!(c.is_nan() && h.is_nan() && r.is_nan() && t.is_nan());
+        assert!(a.evaluate(&cfg).total.is_nan());
     }
 
     #[test]
