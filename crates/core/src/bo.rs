@@ -61,14 +61,6 @@ impl Default for Acquisition {
 }
 
 impl Acquisition {
-    /// Score a candidate (higher is better) given the GP posterior mean,
-    /// variance and the incumbent value. Public so alternative search
-    /// loops (the related-work baselines in [`crate::highdim`]) can reuse
-    /// the exact same acquisition arithmetic.
-    pub fn score_public(&self, mean: f64, var: f64, best: f64) -> f64 {
-        self.score(mean, var, best)
-    }
-
     /// Score a candidate (higher is better) given the GP posterior and the
     /// incumbent value.
     fn score(&self, mean: f64, var: f64, best: f64) -> f64 {
@@ -679,7 +671,7 @@ impl BoSearch {
         f: impl Fn(&Config, usize) -> EvalOutcome,
         policy: &FailurePolicy,
     ) -> Result<ResilientOutcome> {
-        self.run_resilient_with_records(subspace, f, policy, Vec::new())
+        self.run_resilient_observed(subspace, f, policy, Vec::new(), &mut |_| Ok(()))
     }
 
     /// Resume a failure-aware search from a crash-recovery checkpoint.
@@ -691,7 +683,8 @@ impl BoSearch {
         checkpoint: &BoCheckpoint,
     ) -> Result<ResilientOutcome> {
         self.check_resume(checkpoint)?;
-        self.run_resilient_with_records(subspace, f, policy, checkpoint.records.clone())
+        let records = checkpoint.records.clone();
+        self.run_resilient_observed(subspace, f, policy, records, &mut |_| Ok(()))
     }
 
     /// Rebuild the [`SearchOutcome`] implied by a record prefix without
@@ -719,18 +712,8 @@ impl BoSearch {
         SearchOutcome::from_history(subspace, history, Duration::ZERO)
     }
 
-    /// [`BoSearch::run_resilient`] starting from pre-recorded attempts.
-    pub fn run_resilient_with_records(
-        &self,
-        subspace: &Subspace,
-        f: impl Fn(&Config, usize) -> EvalOutcome,
-        policy: &FailurePolicy,
-        records: Vec<EvalRecord>,
-    ) -> Result<ResilientOutcome> {
-        self.run_loop(subspace, f, policy, records, None, &mut |_| Ok(()))
-    }
-
-    /// [`BoSearch::run_resilient_with_records`] with a per-record observer.
+    /// [`BoSearch::run_resilient`] starting from pre-recorded attempts,
+    /// with a per-record observer (`&mut |_| Ok(())` observes nothing).
     ///
     /// `on_record` fires exactly once for every **new** attempt, immediately
     /// after it is appended to the record history (pre-recorded attempts
@@ -738,8 +721,8 @@ impl BoSearch {
     /// durability layer needs to write each attempt to a log *before* the
     /// search advances: an `Err` from the observer aborts the search at
     /// that exact record boundary, which is how `cets serve` turns a failed
-    /// log append (or a simulated process kill) into a clean crash that
-    /// [`BoSearch::run_resilient_with_records`] can later resume bit-for-bit.
+    /// log append (or a simulated process kill) into a clean crash that a
+    /// later call, handed the logged records, resumes bit-for-bit.
     pub fn run_resilient_observed(
         &self,
         subspace: &Subspace,

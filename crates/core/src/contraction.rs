@@ -14,9 +14,10 @@
 //! from through [`cets_space::draw_feasible`]:
 //!
 //! * [`crate::BoSearch`]'s initial design and candidate pool, over
-//!   [`active_unit_slabs`];
-//! * [`crate::random_search()`], [`crate::gather_insights`] and
-//!   [`crate::dropout_bo`], through `draw_config`, the default path behind
+//!   [`active_unit_slabs`] (the related-work baselines [`crate::rembo`]
+//!   and [`crate::dropout_bo`] run on it too);
+//! * [`crate::random_search()`] and [`crate::gather_insights`], through
+//!   `draw_config`, the default path behind
 //!   [`crate::Objective::sample_valid`].
 //!
 //! All mappings round **outward**, so a slab is never narrower than the

@@ -84,25 +84,18 @@ fn probe_value(def: &ParamDef, baseline: &ParamValue) -> ParamValue {
     def.decode(if u < 0.5 { 0.95 } else { 0.05 })
 }
 
-/// Run the two-level pairwise interaction screen on the total objective.
+/// Run the two-level pairwise interaction screen on a scalar view of the
+/// observation (`|obs| obs.total` for the whole objective, or one
+/// routine's raw runtime). Note that the screen is *scale-sensitive*: a
+/// multiplicative coupling is invisible through a logarithmic observable
+/// (`ln(x·y) = ln x + ln y` is additive), which is one more reason the
+/// methodology screens each routine's own runtime rather than a
+/// transformed total.
 ///
 /// Pairs whose combined configuration violates a constraint are recorded
 /// as zero interaction (they cannot co-occur, so no joint search is
 /// needed); the conservative alternative of marking them interacting would
 /// merge everything in heavily constrained spaces.
-pub fn pairwise_interactions<O: Objective + ?Sized>(
-    objective: &O,
-    baseline: &Config,
-) -> Result<InteractionAnalysis> {
-    pairwise_interactions_on(objective, baseline, |obs| obs.total)
-}
-
-/// Like [`pairwise_interactions`] but screening an arbitrary scalar view
-/// of the observation (e.g. one routine's raw runtime). Note that the
-/// screen is *scale-sensitive*: a multiplicative coupling is invisible
-/// through a logarithmic observable (`ln(x·y) = ln x + ln y` is additive),
-/// which is one more reason the methodology screens each routine's own
-/// runtime rather than a transformed total.
 pub fn pairwise_interactions_on<O: Objective + ?Sized>(
     objective: &O,
     baseline: &Config,
@@ -166,7 +159,7 @@ mod tests {
     #[test]
     fn separable_function_has_no_interactions() {
         let obj = SplitSphere::new(); // x0² + x1² + x2²: fully additive
-        let a = pairwise_interactions(&obj, &obj.default_config()).unwrap();
+        let a = pairwise_interactions_on(&obj, &obj.default_config(), |o| o.total).unwrap();
         let pairs = a.interacting_pairs(1e-9);
         assert!(pairs.is_empty(), "unexpected interactions: {pairs:?}");
     }
@@ -174,7 +167,7 @@ mod tests {
     #[test]
     fn coupled_function_flags_the_right_pair() {
         let obj = CoupledSphere::new(); // contains (x1·x2)²
-        let a = pairwise_interactions(&obj, &obj.default_config()).unwrap();
+        let a = pairwise_interactions_on(&obj, &obj.default_config(), |o| o.total).unwrap();
         let x1x2 = a.effect_by_name("x1", "x2").unwrap();
         let x0x1 = a.effect_by_name("x0", "x1").unwrap();
         let x0x2 = a.effect_by_name("x0", "x2").unwrap();
@@ -190,7 +183,7 @@ mod tests {
     fn observation_cost_is_quadratic() {
         let obj = SplitSphere::new();
         let counted = CountingObjective::new(&obj);
-        let a = pairwise_interactions(&counted, &obj.default_config()).unwrap();
+        let a = pairwise_interactions_on(&counted, &obj.default_config(), |o| o.total).unwrap();
         // d = 3: 1 + 3 + 3 = 7.
         assert_eq!(a.observations, 7);
         assert_eq!(counted.count(), 7);
@@ -203,7 +196,7 @@ mod tests {
     #[test]
     fn effect_symmetric_zero_diagonal() {
         let obj = CoupledSphere::new();
-        let a = pairwise_interactions(&obj, &obj.default_config()).unwrap();
+        let a = pairwise_interactions_on(&obj, &obj.default_config(), |o| o.total).unwrap();
         for p in 0..3 {
             assert_eq!(a.effect(p, p), 0.0);
             for q in 0..3 {

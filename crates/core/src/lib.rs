@@ -33,7 +33,6 @@ pub mod checkpoint;
 pub mod contraction;
 pub mod db;
 pub mod framelog;
-pub mod grid_search;
 pub mod highdim;
 pub mod insights;
 pub mod interaction;
@@ -53,10 +52,9 @@ pub use bo::{
 pub use checkpoint::BoCheckpoint;
 pub use contraction::{active_unit_slabs, contracted_unit_slabs};
 pub use db::{Database, Record};
-pub use grid_search::grid_search;
-pub use highdim::{dropout_bo, full_space_bo, rembo};
+pub use highdim::{dropout_bo, rembo};
 pub use insights::{gather_insights, FeatureInsights, InsightsConfig};
-pub use interaction::{pairwise_interactions, pairwise_interactions_on, InteractionAnalysis};
+pub use interaction::{pairwise_interactions_on, InteractionAnalysis};
 pub use methodology::{
     build_graph, execute_plan, ExecutionLedger, LintPolicy, Methodology, MethodologyConfig,
     MethodologyReport, PlanExecution, PlannedSearch, SearchDisposition, SearchLedgerEntry,

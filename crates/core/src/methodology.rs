@@ -723,7 +723,7 @@ fn stage_budget(bo_template: &BoConfig, workers: usize, n_searches: usize) -> (u
 /// (panic containment, non-finite screening, and — when `resilience`
 /// asks for them — watchdog and retries; `None` asks for neither). The BO
 /// loops record failures and
-/// impute them ([`BoSearch::run_resilient_with_records`]), and a search
+/// impute them ([`BoSearch::run_resilient_observed`]), and a search
 /// that produces **no** usable outcome — all attempts failed, failure cap
 /// hit, or its infrastructure errored — is *isolated*: its parameters stay
 /// at the stage's entry defaults, the remaining searches proceed, and the
@@ -826,11 +826,12 @@ pub fn execute_plan<O: Objective + ?Sized>(
                 // abort.
                 let u0 = sub.project(&current)?;
                 let rec0 = EvalRecord::from_outcome(u0.clone(), f(&sub.lift(&u0)?, 0));
-                BoSearch::new(bo_cfg).run_resilient_with_records(
+                BoSearch::new(bo_cfg).run_resilient_observed(
                     sub,
                     f,
                     &resilience.failure,
                     vec![rec0],
+                    &mut |_| Ok(()),
                 )
             };
             let names: Vec<&str> = s.params.iter().map(|p| p.as_str()).collect();

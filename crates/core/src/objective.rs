@@ -62,10 +62,10 @@ pub trait Objective: Sync {
     /// 20-dim GPTune search could not generate candidates. Applications
     /// that know their constraint structure can supply a sampler that
     /// builds valid configurations directly (e.g. draw `tb` first, then
-    /// `tb_sm ≤ max_threads / tb`); full-space consumers
-    /// ([`crate::insights::gather_insights`], [`crate::random_search()`],
-    /// [`crate::dropout_bo`]) use it when present. Decomposed subspace
-    /// searches don't need it.
+    /// `tb_sm ≤ max_threads / tb`); the full-space samplers
+    /// ([`crate::insights::gather_insights`], [`crate::random_search()`])
+    /// use it when present. BO searches, decomposed or not, draw from the
+    /// contracted slabs instead.
     ///
     /// The default path (this method returning `None`) is not blind: the
     /// consumers fall back to rejection draws from

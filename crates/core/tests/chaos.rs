@@ -338,7 +338,13 @@ fn crash_at_k_resume_is_bit_identical_with_retries_in_the_stream() {
         let clock_dyn: Arc<dyn cets_core::Clock> = clock;
         let res = ResilientObjective::new(&faulty, guard, clock_dyn);
         let out = bo
-            .run_resilient_with_records(&sub, |c, i| res.evaluate_outcome(c, i), &policy, records)
+            .run_resilient_observed(
+                &sub,
+                |c, i| res.evaluate_outcome(c, i),
+                &policy,
+                records,
+                &mut |_| Ok(()),
+            )
             .unwrap();
         (out, faulty.injected())
     };

@@ -221,6 +221,8 @@ fn kernel_like(n: usize, seed: u64) -> Matrix {
 // every kernel is BIT-identical at any worker count. Sizes deliberately
 // include dimensions below the internal chunk/block sizes (so some workers
 // get nothing), just above the dispatch thresholds, and well above them.
+// The product operands are real-valued (`ragged`): small-integer data sums
+// exactly in f64, so a worker that reordered a sum would still pass.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -244,8 +246,8 @@ proptest! {
         // (2,3,2): smaller than any chunk. (97,5,130): crosses the tile
         // dispatch with a skinny inner dimension. (130,97,40): tall-thin.
         for (n, k, m) in [(2usize, 3usize, 2usize), (97, 5, 130), (130, 97, 40)] {
-            let a = Matrix::from_fn(n, k, |i, j| (((i * 31 + j * 17) as u64 ^ seed) % 23) as f64 - 11.0);
-            let b = Matrix::from_fn(k, m, |i, j| (((i * 13 + j * 7) as u64 ^ seed) % 19) as f64 - 9.0);
+            let a = ragged(n, k, seed);
+            let b = ragged(k, m, !seed);
             let base = a.mat_mul_with(&b, 1).unwrap();
             for w in [2usize, 4] {
                 let p = a.mat_mul_with(&b, w).unwrap();
@@ -278,7 +280,7 @@ proptest! {
         // (3,5): tiny. (48,400): the sparse-GP shape, above the spawn
         // grain. (9,2000): fewer rows than 2·workers.
         for (m, n) in [(3usize, 5usize), (48, 400), (9, 2000)] {
-            let a = Matrix::from_fn(m, n, |i, j| (((i * 37 + j * 3) as u64 ^ seed) % 17) as f64 - 8.0);
+            let a = ragged(m, n, seed);
             let base = a.aat_with(1);
             for w in [2usize, 4] {
                 let p = a.aat_with(w);

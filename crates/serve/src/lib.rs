@@ -16,7 +16,7 @@
 //!   registry.
 //! * [`recovery`] — WAL replay: rebuild every campaign's `EvalRecord`
 //!   history and stage fold so a restarted service resumes each search
-//!   **bit-for-bit** through `BoSearch::run_resilient_with_records`.
+//!   **bit-for-bit** through `BoSearch::run_resilient_observed`.
 //! * [`supervisor`] — the per-campaign state machine
 //!   (`Pending → Running → {Degraded, Completed, Failed}`) with panic
 //!   containment via `ResilientObjective`, capped-exponential-backoff

@@ -10,7 +10,7 @@
 //! as [`ServeError::Corrupt`] rather than being papered over.
 //!
 //! The rebuilt histories feed straight back into
-//! `BoSearch::run_resilient_with_records`, whose trajectory is a pure
+//! `BoSearch::run_resilient_observed`, whose trajectory is a pure
 //! function of its record prefix — which is what makes recovery
 //! *bit-for-bit*: the restarted search proposes exactly the points the
 //! uninterrupted one would have.

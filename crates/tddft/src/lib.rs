@@ -256,28 +256,45 @@ impl TddftSimulator {
         b.build()
     }
 
-    /// Decode the kernel parameters of `k` from a config.
-    pub fn kernel_params(&self, cfg: &Config, k: KernelId) -> KernelParams {
+    /// The kernel parameters of `k` in a config; `None` when it lacks one.
+    fn kernel_params(&self, cfg: &Config, k: KernelId) -> Option<KernelParams> {
         let s = k.short();
-        KernelParams {
-            unroll: self.space.get_f64(cfg, &format!("u_{s}")).unwrap() as u32,
-            tb: self.space.get_f64(cfg, &format!("tb_{s}")).unwrap() as u32,
-            tb_sm: self.space.get_i64(cfg, &format!("tb_sm_{s}")).unwrap() as u32,
-        }
+        Some(KernelParams {
+            unroll: self.space.get_f64(cfg, &format!("u_{s}")).ok()? as u32,
+            tb: self.space.get_f64(cfg, &format!("tb_{s}")).ok()? as u32,
+            tb_sm: self.space.get_i64(cfg, &format!("tb_sm_{s}")).ok()? as u32,
+        })
     }
 
     /// Deterministic simulation of one configuration, returning
     /// `(g1, g2, g3, slater, total)` in seconds — `g1..g3` are mean
     /// per-invocation group times, `slater` the per-rank region time,
-    /// `total` the application time including MPI communication.
+    /// `total` the application time including MPI communication — or NaN
+    /// in every field for a config that lacks a parameter.
     pub fn simulate(&self, cfg: &Config) -> SimBreakdown {
+        self.try_simulate(cfg).unwrap_or(SimBreakdown {
+            g1: f64::NAN,
+            g2: f64::NAN,
+            g3: f64::NAN,
+            slater: f64::NAN,
+            total: f64::NAN,
+        })
+    }
+
+    /// [`TddftSimulator::simulate`]; `None` when `cfg` lacks a parameter.
+    fn try_simulate(&self, cfg: &Config) -> Option<SimBreakdown> {
         let sp = &self.space;
         let gpu = &self.gpu;
-        let nstb = sp.get_i64(cfg, "nstb").unwrap().max(1) as usize;
-        let nkpb = sp.get_i64(cfg, "nkpb").unwrap().max(1) as usize;
-        let nspb = sp.get_i64(cfg, "nspb").unwrap().max(1) as usize;
-        let nbatches = sp.get_i64(cfg, "nbatches").unwrap().max(1) as usize;
-        let nstreams = sp.get_i64(cfg, "nstreams").unwrap().max(1) as usize;
+        let count = |name: &str| sp.get_i64(cfg, name).ok().map(|v| v.max(1) as usize);
+        let nstb = count("nstb")?;
+        let nkpb = count("nkpb")?;
+        let nspb = count("nspb")?;
+        let nbatches = count("nbatches")?;
+        let nstreams = count("nstreams")?;
+        // Every kernel's parameters, decoded once; `params[k as usize]` is
+        // kernel `k`'s (`KernelId::all` is in declaration order).
+        let [a, b, c, d, e] = KernelId::all().map(|k| self.kernel_params(cfg, k));
+        let params = [a?, b?, c?, d?, e?];
 
         // ---- MPI decomposition: ceil-split => max local counts drive time.
         let local_bands = self.case.nbands.div_ceil(nstb);
@@ -287,7 +304,7 @@ impl TddftSimulator {
 
         // ---- Per-kernel per-invocation costs for a full batch.
         let n = self.case.fft_size;
-        let pair = self.kernel_params(cfg, KernelId::Pairwise);
+        let pair = params[KernelId::Pairwise as usize];
         // Group 2's L2 interference on Group 3 (the paper's cache effect):
         // the pairwise kernel's resident working set scales with its active
         // threads per SM; what it evicts, Group 3 kernels reload.
@@ -295,8 +312,7 @@ impl TddftSimulator {
         let g3_cache_penalty = 1.0 + 0.9 * pair_occ;
 
         let kt = |k: KernelId, batch: usize, cache_penalty: f64| -> f64 {
-            let params = self.kernel_params(cfg, k);
-            KernelCost::new(gpu, k, params).time(n * batch) * cache_penalty
+            KernelCost::new(gpu, k, params[k as usize]).time(n * batch) * cache_penalty
         };
 
         // FFT: only nbatches (work size / batching efficiency) matters
@@ -378,13 +394,13 @@ impl TddftSimulator {
         let comm = comm * outer;
         let total = slater + comm;
 
-        SimBreakdown {
+        Some(SimBreakdown {
             g1: g_means[0],
             g2: g_means[1],
             g3: g_means[2],
             slater,
             total,
-        }
+        })
     }
 
     /// Configuration-keyed multiplicative noise factor.
@@ -458,15 +474,20 @@ impl Objective for TddftSimulator {
     fn sample_valid(&self, rng: &mut dyn rand::Rng) -> Option<Config> {
         use rand::RngExt;
         let sp = &self.space;
+        let grid = (
+            sp.def_of("nstb").ok()?,
+            sp.def_of("nkpb").ok()?,
+            sp.def_of("nspb").ok()?,
+        );
         let mut pairs: Vec<(String, f64)> = Vec::with_capacity(20);
         // MPI grid: rejection over 3 dims only (high acceptance).
         for _ in 0..1000 {
             let draw = |def: &cets_space::ParamDef, rng: &mut dyn rand::Rng| -> f64 {
                 def.decode(rng.random::<f64>()).as_f64()
             };
-            let nstb = draw(sp.def_of("nstb").unwrap(), rng);
-            let nkpb = draw(sp.def_of("nkpb").unwrap(), rng);
-            let nspb = draw(sp.def_of("nspb").unwrap(), rng);
+            let nstb = draw(grid.0, rng);
+            let nkpb = draw(grid.1, rng);
+            let nspb = draw(grid.2, rng);
             if (nstb * nkpb * nspb) as usize <= self.case.max_ranks {
                 pairs.push(("nstb".into(), nstb));
                 pairs.push(("nkpb".into(), nkpb));
@@ -494,24 +515,25 @@ impl Objective for TddftSimulator {
         sp.is_valid(&cfg).then_some(cfg)
     }
 
+    /// One rank per MPI grid dimension, 8 bands per batch, one stream and
+    /// every kernel at `u = 1`, `tb = 64`, `tb_sm = 1` (in space order).
     fn default_config(&self) -> Config {
-        let mut pairs: Vec<(String, f64)> = vec![
-            ("nstb".into(), 1.0),
-            ("nkpb".into(), 1.0),
-            ("nspb".into(), 1.0),
-            ("nbatches".into(), 8.0),
-            ("nstreams".into(), 1.0),
-        ];
-        for (k, _) in KERNELS {
-            let s = k.short();
-            pairs.push((format!("u_{s}"), 1.0));
-            pairs.push((format!("tb_{s}"), 64.0));
-            pairs.push((format!("tb_sm_{s}"), 1.0));
+        use cets_space::ParamDef::Ordinal;
+        use cets_space::ParamValue::{Int, Real};
+        // The grid's divisor lists (expert constraints) hold 1 as an
+        // ordinal value; otherwise the grid dimensions are integers.
+        let mut cfg: Config = self.space.defs()[..3]
+            .iter()
+            .map(|def| match def {
+                Ordinal { .. } => Real(1.0),
+                _ => Int(1),
+            })
+            .collect();
+        cfg.extend([Int(8), Int(1)]);
+        for _ in KERNELS {
+            cfg.extend([Real(1.0), Real(64.0), Int(1)]);
         }
-        let borrowed: Vec<(&str, f64)> = pairs.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-        self.space
-            .config_from_pairs(&borrowed)
-            .expect("default config is valid")
+        cfg
     }
 }
 
@@ -587,6 +609,37 @@ mod tests {
         assert_eq!(def.cardinality(), Some(9)); // divisors of 36
         let nstb = sim.space().def_of("nstb").unwrap();
         assert_eq!(nstb.cardinality(), Some(7)); // divisors of 64
+    }
+
+    #[test]
+    fn default_config_is_the_named_valid_default() {
+        for sim in [
+            TddftSimulator::new(CaseStudy::case1()),
+            TddftSimulator::new(CaseStudy::case2()).with_expert_constraints(),
+        ] {
+            let value = |name: &str| match name {
+                "nbatches" => 8.0,
+                n if n.starts_with("tb_") && !n.starts_with("tb_sm_") => 64.0,
+                _ => 1.0,
+            };
+            let names = sim.space().names();
+            let pairs: Vec<(&str, f64)> = names.iter().map(|n| (n.as_str(), value(n))).collect();
+            let named = sim.space().config_from_pairs(&pairs).unwrap();
+            assert_eq!(sim.default_config(), named);
+            assert!(sim.space().is_valid(&named));
+        }
+    }
+
+    #[test]
+    fn simulate_is_nan_for_a_config_that_lacks_a_parameter() {
+        let sim = TddftSimulator::new(CaseStudy::case1());
+        let mut cfg = sim.default_config();
+        cfg.pop();
+        let b = sim.simulate(&cfg);
+        for v in [b.g1, b.g2, b.g3, b.slater, b.total] {
+            assert!(v.is_nan(), "{b:?}");
+        }
+        assert!(sim.evaluate(&cfg).total.is_nan());
     }
 
     #[test]

@@ -158,7 +158,7 @@ fn full_cube_rejection_draws_are_pinned() {
         [
             0x74e4_d66f_7ca7_5bb7,
             0x2cad_a9d0_ea36_1351,
-            0x271f_56bf_6387_efe3,
+            0x5c2e_b715_f717_5a4f,
             0xc0dc_3630_83a6_54af,
         ],
         "stencil draws moved"
@@ -172,7 +172,7 @@ fn narrowed_box_draws_are_pinned() {
         [
             0xa9eb_f069_8632_0f90,
             0x6b75_f9bb_9b31_81f5,
-            0x6295_f3ce_1bbb_269e,
+            0xb801_5824_d01d_ec3a,
             0x0652_8e6c_4159_4054,
         ],
         "box draws moved"
@@ -186,7 +186,7 @@ fn disjoint_slab_draws_are_pinned() {
         [
             0xf461_446c_00d4_c9ff,
             0xb967_75e3_1aa2_4911,
-            0xf7b7_9b7f_460d_5524,
+            0xbd6c_a457_5f2f_d6a3,
             0x5d7b_faea_1289_9883,
         ],
         "slab draws moved"
