@@ -4,7 +4,7 @@
 //! searches.
 
 use cets_bench::banner;
-use cets_core::{BoConfig, Methodology, MethodologyConfig, Objective, VariationPolicy};
+use cets_core::{BoConfig, Methodology, MethodologyConfig, Objective};
 use cets_tddft::{CaseStudy, TddftSimulator};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -14,20 +14,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let sim = TddftSimulator::new(CaseStudy::case1()).with_expert_constraints();
     let owners = TddftSimulator::owners();
-    let pairs: Vec<(&str, &str)> = owners
-        .iter()
-        .map(|(p, r)| (p.as_str(), r.as_str()))
-        .collect();
+    let pairs = TddftSimulator::owner_pairs(&owners);
 
     let m = Methodology::new(MethodologyConfig {
-        cutoff: 0.10,
-        max_dims: 10,
-        variation_policy: VariationPolicy::Spread { count: 5 },
-        precedence: vec!["Slater".into(), "MPI".into()],
-        shared_params: TddftSimulator::shared_params(),
         bo: BoConfig::default(),
         evals_per_dim: 10,
-        ..Default::default()
+        ..TddftSimulator::methodology_config()
     });
     let report = m.analyze(&sim, &pairs, &sim.default_config())?;
 

@@ -7,9 +7,7 @@
 //! plotting.
 
 use cets_bench::{banner, paper_bo, sparkline, ExpArgs};
-use cets_core::{
-    BoSearch, Methodology, MethodologyConfig, Objective, TransferSeed, VariationPolicy,
-};
+use cets_core::{BoSearch, Methodology, MethodologyConfig, Objective, TransferSeed};
 use cets_space::Subspace;
 use cets_tddft::{CaseStudy, TddftSimulator};
 
@@ -23,24 +21,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let make_methodology = || {
         Methodology::new(MethodologyConfig {
-            cutoff: 0.10,
-            max_dims: 10,
-            variation_policy: VariationPolicy::Spread { count: 5 },
-            precedence: vec!["Slater".into(), "MPI".into()],
-            shared_params: TddftSimulator::shared_params(),
             bo: paper_bo(6),
             evals_per_dim,
-            ..Default::default()
+            ..TddftSimulator::methodology_config()
         })
     };
 
     // --- Case Study 1: cold search.
     let cs1 = TddftSimulator::new(CaseStudy::case1()).with_expert_constraints();
     let owners = TddftSimulator::owners();
-    let pairs: Vec<(&str, &str)> = owners
-        .iter()
-        .map(|(p, r)| (p.as_str(), r.as_str()))
-        .collect();
+    let pairs = TddftSimulator::owner_pairs(&owners);
     let m = make_methodology();
     let (report1, exec1) = m.run(&cs1, &pairs, &cs1.default_config())?;
 

@@ -6,7 +6,7 @@
 //! dscal + zvec minus two parameters dropped by the 10-dim cap).
 
 use cets_bench::banner;
-use cets_core::{BoConfig, Methodology, MethodologyConfig, Objective, VariationPolicy};
+use cets_core::{BoConfig, Methodology, MethodologyConfig, Objective};
 use cets_tddft::{CaseStudy, TddftSimulator};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -18,19 +18,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let sim = TddftSimulator::new(case).with_expert_constraints();
         println!("--- {} ---", sim.case().name);
         let owners = TddftSimulator::owners();
-        let pairs: Vec<(&str, &str)> = owners
-            .iter()
-            .map(|(p, r)| (p.as_str(), r.as_str()))
-            .collect();
+        let pairs = TddftSimulator::owner_pairs(&owners);
         let m = Methodology::new(MethodologyConfig {
-            cutoff: 0.10,
-            max_dims: 10,
-            variation_policy: VariationPolicy::Spread { count: 5 },
-            precedence: vec!["Slater".into(), "MPI".into()],
-            shared_params: TddftSimulator::shared_params(),
             bo: BoConfig::default(),
             evals_per_dim: 10,
-            ..Default::default()
+            ..TddftSimulator::methodology_config()
         });
         let report = m.analyze(&sim, &pairs, &sim.default_config())?;
         println!("{}", report.plan.describe());

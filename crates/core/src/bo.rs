@@ -149,14 +149,6 @@ impl Default for BoConfig {
     }
 }
 
-impl BoConfig {
-    /// The paper's budget rule: `10 × dims` evaluations.
-    pub fn budget_for_dims(mut self, dims: usize) -> Self {
-        self.max_evals = 10 * dims.max(1);
-        self
-    }
-}
-
 /// Result of a completed search (BO or baseline).
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
@@ -176,7 +168,7 @@ pub struct SearchOutcome {
 }
 
 impl SearchOutcome {
-    fn from_history(
+    pub(crate) fn from_history(
         subspace: &Subspace,
         history: Vec<(Vec<f64>, f64)>,
         wall_time: Duration,
@@ -468,30 +460,19 @@ fn history_records(history: Vec<(Vec<f64>, f64)>) -> Vec<EvalRecord> {
 // Failure handling and the BO loop
 // ---------------------------------------------------------------------------
 
-/// How failed evaluations enter GP training.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Imputation {
-    /// Train on failed points at `worst + margin × (worst − best)` over the
-    /// successful observations (GPTune's recipe: failures are informative —
-    /// they mark regions to avoid — so give them a value pessimistic enough
-    /// to repel the search without wrecking the GP's length scales). When
-    /// all successes share one value the penalty degenerates to
-    /// `worst + margin`.
-    WorstPlusMargin {
-        /// Penalty margin as a fraction of the observed spread.
-        margin: f64,
-    },
-    /// Leave failed points out of training entirely (the search may
-    /// re-propose near failures, but the GP is never biased by synthetic
-    /// values).
-    Exclude,
-}
+/// Penalty margin of the failure imputation, as a fraction of the observed
+/// spread (see [`FailurePolicy::imputed_value`]).
+const IMPUTE_MARGIN: f64 = 0.5;
 
 /// Policy for how a search treats failed evaluations.
+///
+/// Failed points always enter GP training at the imputed value
+/// [`FailurePolicy::imputed_value`] derives (GPTune's recipe: failures are
+/// informative — they mark regions to avoid — so give them a value
+/// pessimistic enough to repel the search without wrecking the GP's length
+/// scales).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailurePolicy {
-    /// How failures enter GP training.
-    pub imputation: Imputation,
     /// Fraction of one evaluation's budget a failure costs. `1.0` treats a
     /// crash as expensive as a completed run (it held the allocation);
     /// `0.0` models instant rejections. Budget spent is
@@ -506,7 +487,6 @@ pub struct FailurePolicy {
 impl Default for FailurePolicy {
     fn default() -> Self {
         FailurePolicy {
-            imputation: Imputation::WorstPlusMargin { margin: 0.5 },
             budget_fraction: 1.0,
             max_failures: 1000,
         }
@@ -521,27 +501,17 @@ impl FailurePolicy {
         n_ok as f64 + self.budget_fraction * n_failed as f64
     }
 
-    /// The training value [`Imputation::WorstPlusMargin`] assigns to
-    /// failed attempts given an attempt history: `worst + margin × spread`
-    /// over the finite successful observations (degenerating to
-    /// `worst + margin` when they all share one value), with the same
-    /// screening as [`FailurePolicy::training_data`]. `None` under
-    /// [`Imputation::Exclude`], or when no finite success exists to derive
-    /// it from.
+    /// The training value failed attempts receive given an attempt
+    /// history: `worst + 0.5 × (worst − best)` over the finite successful
+    /// observations (degenerating to `worst + 0.5` when they all share one
+    /// value), with the same screening as [`FailurePolicy::training_data`].
+    /// `None` when no finite success exists to derive it from.
     ///
     /// Exposed separately so the incremental surrogate cache can detect
     /// when a new observation *moves* the imputed value — which silently
     /// invalidates every previously-imputed training point and must force
     /// a full refit instead of an append.
     pub fn imputed_value(&self, records: &[EvalRecord]) -> Option<f64> {
-        let Imputation::WorstPlusMargin { margin } = self.imputation else {
-            return None;
-        };
-        let margin = if margin.is_finite() {
-            margin.max(0.0)
-        } else {
-            0.0
-        };
         let mut worst = f64::NEG_INFINITY;
         let mut best = f64::INFINITY;
         let mut any = false;
@@ -559,44 +529,33 @@ impl FailurePolicy {
         }
         let spread = worst - best;
         Some(if spread > 0.0 {
-            worst + margin * spread
+            worst + IMPUTE_MARGIN * spread
         } else {
-            worst + margin
+            worst + IMPUTE_MARGIN
         })
     }
 
     /// GP training data for an attempt history. **Every returned value is
     /// finite** — non-finite successes are screened out (defense in depth;
     /// the BO loop never records them) and imputed values are derived
-    /// from finite observations with a sanitized margin. This is the
-    /// boundary that guarantees no NaN/Inf ever reaches
-    /// [`cets_gp::Gp::train`].
+    /// from finite observations. This is the boundary that guarantees no
+    /// NaN/Inf ever reaches [`cets_gp::Gp::train`].
     pub fn training_data(&self, records: &[EvalRecord]) -> (Vec<Vec<f64>>, Vec<f64>) {
-        match self.imputation {
-            Imputation::Exclude => records
-                .iter()
-                .filter_map(|r| r.y().map(|y| (r.u.as_slice(), y)))
-                .filter(|(u, y)| y.is_finite() && u.iter().all(|v| v.is_finite()))
-                .map(|(u, y)| (u.to_vec(), y))
-                .unzip(),
-            Imputation::WorstPlusMargin { .. } => {
-                // `imputed_value` screens exactly like the arm below, so it
-                // is `None` precisely when there is no finite success —
-                // nothing to impute from, no training data at all.
-                let Some(imputed) = self.imputed_value(records) else {
-                    return (Vec::new(), Vec::new());
-                };
-                records
-                    .iter()
-                    .filter(|r| r.u.iter().all(|v| v.is_finite()))
-                    .filter_map(|r| match r.y() {
-                        Some(y) if y.is_finite() => Some((r.u.clone(), y)),
-                        Some(_) => None,
-                        None => Some((r.u.clone(), imputed)),
-                    })
-                    .unzip()
-            }
-        }
+        // `imputed_value` screens exactly like the filter below, so it is
+        // `None` precisely when there is no finite success — nothing to
+        // impute from, no training data at all.
+        let Some(imputed) = self.imputed_value(records) else {
+            return (Vec::new(), Vec::new());
+        };
+        records
+            .iter()
+            .filter(|r| r.u.iter().all(|v| v.is_finite()))
+            .filter_map(|r| match r.y() {
+                Some(y) if y.is_finite() => Some((r.u.clone(), y)),
+                Some(_) => None,
+                None => Some((r.u.clone(), imputed)),
+            })
+            .unzip()
     }
 }
 
@@ -628,8 +587,8 @@ const LHS_SALT: u64 = 0x4c48_535f_4445_5347;
 struct CachedModel {
     surrogate: Surrogate,
     /// The imputed value baked into the training set, when any failure
-    /// point is present under [`Imputation::WorstPlusMargin`]; `None` when
-    /// the training set contains no imputed points.
+    /// point is present; `None` when the training set contains no imputed
+    /// points.
     imputed: Option<f64>,
     /// Length of the record prefix this state reflects.
     n_records: usize,
@@ -873,8 +832,7 @@ impl BoSearch {
     ///   replay from the last boundary;
     /// * otherwise the newest record is absorbed incrementally when legal:
     ///   a success appends in `O(n²)`/`O(m²)`, a failure appends its
-    ///   imputed point under [`Imputation::WorstPlusMargin`] or is a no-op
-    ///   under [`Imputation::Exclude`];
+    ///   imputed point;
     /// * whenever the newest record *moves* the imputed value
     ///   ([`FailurePolicy::imputed_value`]), every previously-imputed
     ///   training point is stale and the model is rebuilt instead.
@@ -912,9 +870,9 @@ impl BoSearch {
             return Ok(());
         }
         // The imputed value the training set should carry right now:
-        // `Some` iff imputation is on and at least one imputable failure
-        // (finite coordinates) is recorded. With a finite success present,
-        // `imputed_value` is always `Some` here.
+        // `Some` iff at least one imputable failure (finite coordinates) is
+        // recorded. With a finite success present, `imputed_value` is
+        // always `Some` here.
         let has_imputable = records
             .iter()
             .any(|r| !r.is_ok() && r.u.iter().all(|v| v.is_finite()));
@@ -949,13 +907,11 @@ impl BoSearch {
         };
         // Absorb the newest record. Records the policy screens out of
         // training (non-finite values or coordinates) leave the training
-        // set untouched, as do failures under `Exclude` (where
-        // `imputed_now` is `None`).
+        // set untouched.
         let append = match (finite_ok(last), last.is_ok()) {
             (Some(y), _) => Some(y),
-            (None, true) => None,
             (None, false) if last.u.iter().all(|v| v.is_finite()) => imputed_now,
-            (None, false) => None,
+            _ => None,
         };
         if let Some(y) = append {
             if m.surrogate
@@ -1193,13 +1149,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_rule() {
-        let cfg = BoConfig::default().budget_for_dims(7);
-        assert_eq!(cfg.max_evals, 70);
-        assert_eq!(BoConfig::default().budget_for_dims(0).max_evals, 10);
-    }
-
-    #[test]
     fn resilient_fault_free_finds_minimum_and_is_deterministic() {
         let obj = SplitSphere::new();
         let sub = Subspace::full(obj.space(), obj.default_config()).unwrap();
@@ -1239,23 +1188,11 @@ mod tests {
             // Smuggled-in non-finite success: must be screened.
             EvalRecord::ok(vec![0.3], f64::NAN),
         ];
-        let impute = FailurePolicy {
-            imputation: Imputation::WorstPlusMargin { margin: 0.5 },
-            ..Default::default()
-        };
-        let (xs, ys) = impute.training_data(&records);
+        let (xs, ys) = FailurePolicy::default().training_data(&records);
         assert_eq!(xs.len(), 3, "2 finite successes + 1 imputed failure");
         assert!(ys.iter().all(|y| y.is_finite()));
         // worst=5, best=2, spread=3 → imputed = 5 + 0.5·3 = 6.5.
         assert_eq!(ys, vec![2.0, 6.5, 5.0]);
-
-        let exclude = FailurePolicy {
-            imputation: Imputation::Exclude,
-            ..Default::default()
-        };
-        let (xs, ys) = exclude.training_data(&records);
-        assert_eq!(xs.len(), 2);
-        assert_eq!(ys, vec![2.0, 5.0]);
     }
 
     #[test]
@@ -1303,7 +1240,6 @@ mod tests {
         let policy = FailurePolicy {
             budget_fraction: 0.0, // failures are free — only the cap stops us
             max_failures: 7,
-            ..Default::default()
         };
         let err = BoSearch::new(quick_config(20, 3))
             .run_resilient(
@@ -1491,10 +1427,7 @@ mod tests {
             fail(vec![0.5]),
             EvalRecord::ok(vec![0.9], 5.0),
         ];
-        let wpm = FailurePolicy {
-            imputation: Imputation::WorstPlusMargin { margin: 0.5 },
-            ..Default::default()
-        };
+        let wpm = FailurePolicy::default();
         // worst=5, best=2, spread=3 → 5 + 0.5·3 = 6.5, matching the value
         // training_data bakes into the failure point.
         assert_eq!(wpm.imputed_value(&records), Some(6.5));
@@ -1505,13 +1438,8 @@ mod tests {
         let flat = vec![EvalRecord::ok(vec![0.1], 3.0), fail(vec![0.5])];
         assert_eq!(wpm.imputed_value(&flat), Some(3.5));
 
-        // Nothing to derive from, and Exclude never imputes.
+        // Nothing to derive from.
         assert_eq!(wpm.imputed_value(&[fail(vec![0.5])]), None);
-        let exclude = FailurePolicy {
-            imputation: Imputation::Exclude,
-            ..Default::default()
-        };
-        assert_eq!(exclude.imputed_value(&records), None);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::objective::{Objective, Observation};
 use crate::transfer::TransferSeed;
 use crate::{CoreError, Result};
-use cets_space::{Config, ParamValue};
+use cets_space::Config;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -75,18 +75,6 @@ impl Database {
             routines: obs.routines.clone(),
             tag: tag.into(),
         });
-    }
-
-    /// Evaluate through an objective and record in one step.
-    pub fn evaluate_and_record<O: Objective + ?Sized>(
-        &mut self,
-        objective: &O,
-        config: &Config,
-        tag: impl Into<String>,
-    ) -> Observation {
-        let obs = objective.evaluate(config);
-        self.push(config.clone(), &obs, tag);
-        obs
     }
 
     /// The best (lowest-total) record, if any.
@@ -192,11 +180,6 @@ impl Database {
     }
 }
 
-/// Convenience: round-trip a config's numeric view (used by tests/tools).
-pub fn config_values(cfg: &Config) -> Vec<f64> {
-    cfg.iter().map(ParamValue::as_f64).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,7 +197,11 @@ mod tests {
         for i in 0..5 {
             let u = vec![i as f64 / 4.0; 3];
             let cfg = obj.space().decode(&u).unwrap();
-            db.evaluate_and_record(&obj, &cfg, if i < 3 { "init" } else { "bo" });
+            db.push(
+                cfg.clone(),
+                &obj.evaluate(&cfg),
+                if i < 3 { "init" } else { "bo" },
+            );
         }
         assert_eq!(db.len(), 5);
         assert_eq!(db.with_tag("init").count(), 3);
@@ -230,7 +217,7 @@ mod tests {
         let obj = SplitSphere::new();
         let mut db = Database::for_objective("sphere", &obj);
         let cfg = obj.default_config();
-        db.evaluate_and_record(&obj, &cfg, "x");
+        db.push(cfg.clone(), &obj.evaluate(&cfg), "x");
         let path = tmp("layout");
         db.save(&path).unwrap();
         let loaded = Database::load(&path, Some(&obj)).unwrap();
@@ -242,7 +229,11 @@ mod tests {
     fn load_rejects_wrong_space() {
         let obj = SplitSphere::new();
         let mut db = Database::for_objective("sphere", &obj);
-        db.evaluate_and_record(&obj, &obj.default_config(), "t");
+        db.push(
+            obj.default_config(),
+            &obj.evaluate(&obj.default_config()),
+            "t",
+        );
         db.param_names = vec!["zzz".into()];
         let path = tmp("wrong");
         db.save(&path).unwrap();
@@ -257,7 +248,11 @@ mod tests {
         let obj = SplitSphere::new();
         let mut a = Database::for_objective("a", &obj);
         let mut b = Database::for_objective("b", &obj);
-        b.evaluate_and_record(&obj, &obj.default_config(), "t");
+        b.push(
+            obj.default_config(),
+            &obj.evaluate(&obj.default_config()),
+            "t",
+        );
         a.merge(b).unwrap();
         assert_eq!(a.len(), 1);
         let mut c = Database::for_objective("c", &obj);
@@ -272,7 +267,7 @@ mod tests {
         for i in 0..4 {
             let u = vec![i as f64 / 3.0; 3];
             let cfg = obj.space().decode(&u).unwrap();
-            db.evaluate_and_record(&obj, &cfg, "t");
+            db.push(cfg.clone(), &obj.evaluate(&cfg), "t");
         }
         let seed = db.to_transfer_seed();
         assert_eq!(seed.points.len(), 4);

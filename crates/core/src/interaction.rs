@@ -51,24 +51,6 @@ impl InteractionAnalysis {
         Some(self.effects[pi][qi])
     }
 
-    /// All pairs with interaction ≥ `threshold`, strongest first.
-    pub fn interacting_pairs(&self, threshold: f64) -> Vec<(String, String, f64)> {
-        let mut out = Vec::new();
-        for p in 0..self.param_names.len() {
-            for q in (p + 1)..self.param_names.len() {
-                if self.effects[p][q] >= threshold {
-                    out.push((
-                        self.param_names[p].clone(),
-                        self.param_names[q].clone(),
-                        self.effects[p][q],
-                    ));
-                }
-            }
-        }
-        out.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
-        out
-    }
-
     /// The theoretical observation count for `d` parameters:
     /// `1 + d + d(d−1)/2`.
     pub fn expected_cost(d: usize) -> usize {
@@ -160,8 +142,11 @@ mod tests {
     fn separable_function_has_no_interactions() {
         let obj = SplitSphere::new(); // x0² + x1² + x2²: fully additive
         let a = pairwise_interactions_on(&obj, &obj.default_config(), |o| o.total).unwrap();
-        let pairs = a.interacting_pairs(1e-9);
-        assert!(pairs.is_empty(), "unexpected interactions: {pairs:?}");
+        for p in 0..3 {
+            for q in 0..3 {
+                assert!(a.effect(p, q) < 1e-9, "unexpected interaction {p}-{q}");
+            }
+        }
     }
 
     #[test]
@@ -174,9 +159,6 @@ mod tests {
         assert!(x1x2 > 1.0, "x1-x2 interaction missed: {x1x2}");
         assert!(x0x1 < 1e-9, "spurious x0-x1 interaction: {x0x1}");
         assert!(x0x2 < 1e-9, "spurious x0-x2 interaction: {x0x2}");
-        let pairs = a.interacting_pairs(0.5);
-        assert_eq!(pairs.len(), 1);
-        assert_eq!((pairs[0].0.as_str(), pairs[0].1.as_str()), ("x1", "x2"));
     }
 
     #[test]

@@ -46,9 +46,7 @@ pub mod sensitivity;
 pub mod strategy;
 pub mod transfer;
 
-pub use bo::{
-    Acquisition, BoConfig, BoSearch, FailurePolicy, Imputation, ResilientOutcome, SearchOutcome,
-};
+pub use bo::{Acquisition, BoConfig, BoSearch, FailurePolicy, ResilientOutcome, SearchOutcome};
 pub use checkpoint::BoCheckpoint;
 pub use contraction::{active_unit_slabs, contracted_unit_slabs};
 pub use db::{Database, Record};

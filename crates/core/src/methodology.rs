@@ -6,13 +6,14 @@ use crate::bo::{BoConfig, BoSearch, ResilientOutcome, SearchOutcome};
 use crate::db::Database;
 use crate::objective::Objective;
 use crate::resilience::{EvalOutcome, EvalRecord, ResilienceConfig, ResilientObjective};
-use crate::sensitivity::{routine_sensitivity, VariationPolicy};
+use crate::sensitivity::{sensitivity_pass, VariationPolicy};
 use crate::{CoreError, Result};
 use cets_graph::{InfluenceGraph, Partition};
 use cets_linalg::{par, ParConfig};
 use cets_space::{Config, Subspace};
 use cets_stats::SensitivityScores;
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -147,6 +148,9 @@ pub struct MethodologyReport {
     pub partition: Partition,
     /// The final staged search plan.
     pub plan: SearchPlan,
+    /// Sensitivity variations whose evaluation failed under the run's
+    /// guard; each one contributed the baseline row (zero variability).
+    pub failed_variations: usize,
 }
 
 /// How one planned search ended.
@@ -268,8 +272,12 @@ pub struct MethodologyConfig {
     pub par: ParConfig,
     /// How strictly the pre-execution linter gates [`Methodology::run`].
     pub lint: LintPolicy,
-    /// Fault tolerance of [`execute_plan`]. Every run guards its
-    /// evaluations (panic containment, non-finite screening), imputes
+    /// Fault tolerance of the run. Every run guards its evaluations —
+    /// the sensitivity pre-pass of [`Methodology::analyze`] as well as
+    /// [`execute_plan`] — with panic containment and non-finite
+    /// screening. The pre-pass substitutes a failed variation with the
+    /// baseline row and counts it in
+    /// [`MethodologyReport::failed_variations`]; execution imputes
     /// failures into the BO loop, isolates a search that produces nothing
     /// instead of aborting the plan, and reports the damage in
     /// [`PlanExecution::ledger`]. `None` (default) retries nothing and
@@ -333,6 +341,12 @@ impl Methodology {
     /// `owners` assigns each parameter to its owning routine (`(param,
     /// routine)` pairs); unlisted parameters are global (ownerless) and are
     /// only tuned through precedence searches.
+    ///
+    /// The sensitivity pre-pass evaluates through a [`ResilientObjective`]
+    /// under [`MethodologyConfig::resilience`]: a failed variation takes
+    /// the baseline row and is counted in
+    /// [`MethodologyReport::failed_variations`]; a failed baseline is an
+    /// error.
     pub fn analyze<O: Objective + ?Sized>(
         &self,
         objective: &O,
@@ -340,7 +354,23 @@ impl Methodology {
         baseline: &Config,
     ) -> Result<MethodologyReport> {
         let cfg = &self.config;
-        let scores = routine_sensitivity(objective, baseline, &cfg.variation_policy)?;
+        let unguarded = ResilienceConfig::unguarded();
+        let resilience = cfg.resilience.as_ref().unwrap_or(&unguarded);
+        let guarded = ResilientObjective::new(
+            objective,
+            resilience.guard.clone(),
+            Arc::clone(&resilience.clock),
+        );
+        // Evaluation ordinal within the pre-pass, keying retry backoff.
+        let ordinal = Cell::new(0);
+        let (scores, failed_variations) =
+            sensitivity_pass(objective, baseline, &cfg.variation_policy, |c| {
+                let idx = ordinal.replace(ordinal.get() + 1);
+                match guarded.evaluate_outcome(c, idx) {
+                    EvalOutcome::Ok(obs) => Some(obs),
+                    EvalOutcome::Failed(_) => None,
+                }
+            })?;
         let graph = build_graph(objective, owners, &scores)?;
 
         let precedence: Vec<&str> = cfg.precedence.iter().map(|s| s.as_str()).collect();
@@ -398,6 +428,7 @@ impl Methodology {
             graph,
             partition,
             plan,
+            failed_variations,
         })
     }
 

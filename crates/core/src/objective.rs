@@ -100,11 +100,6 @@ impl<'a, O: Objective + ?Sized> CountingObjective<'a, O> {
     pub fn count(&self) -> usize {
         self.count.load(Ordering::Relaxed)
     }
-
-    /// Reset the counter (e.g. between methodology phases).
-    pub fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-    }
 }
 
 impl<'a, O: Objective + ?Sized> Objective for CountingObjective<'a, O> {
@@ -309,8 +304,6 @@ mod tests {
         assert_eq!(counted.count(), 1);
         counted.evaluate(&cfg);
         assert_eq!(counted.count(), 2);
-        counted.reset();
-        assert_eq!(counted.count(), 0);
     }
 
     #[test]

@@ -4,8 +4,8 @@ use crate::bo::SearchOutcome;
 use crate::contraction::{contracted_unit_slabs, draw_config};
 use crate::objective::Objective;
 use crate::{CoreError, Result};
+use cets_linalg::par;
 use cets_space::Subspace;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -17,10 +17,6 @@ pub struct RandomSearchConfig {
     pub n_evals: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Number of worker threads. Random search parallelizes trivially —
-    /// the paper notes its wall-time advantage over inherently sequential
-    /// BO comes exactly from this.
-    pub threads: usize,
 }
 
 impl Default for RandomSearchConfig {
@@ -28,18 +24,31 @@ impl Default for RandomSearchConfig {
         RandomSearchConfig {
             n_evals: 50,
             seed: 0,
-            threads: 4,
         }
     }
 }
 
 /// Uniform random search over the full space of `objective`, minimizing the
-/// total observation. Deterministic for a fixed seed regardless of the
-/// thread count (each evaluation's configuration is derived from
-/// `seed + index`).
+/// total observation.
+///
+/// Random search parallelizes trivially — the paper notes its wall-time
+/// advantage over inherently sequential BO comes exactly from this — so
+/// the evaluations run across the process worker budget
+/// ([`par::global_threads`]: `cets --threads`, then `CETS_THREADS`).
+/// Deterministic for a fixed seed at any worker count: evaluation `i`
+/// draws its configuration from `seed + i`, the history is kept in index
+/// order, and the first error in index order is the one reported.
 pub fn random_search<O: Objective + ?Sized>(
     objective: &O,
     cfg: &RandomSearchConfig,
+) -> Result<SearchOutcome> {
+    search_with(objective, cfg, par::global_threads())
+}
+
+fn search_with<O: Objective + ?Sized>(
+    objective: &O,
+    cfg: &RandomSearchConfig,
+    workers: usize,
 ) -> Result<SearchOutcome> {
     if cfg.n_evals == 0 {
         return Err(CoreError::BadConfig("n_evals must be > 0".into()));
@@ -50,65 +59,15 @@ pub fn random_search<O: Objective + ?Sized>(
     // Rejection draws come from the statically contracted slabs (the
     // full cube when the constraint analysis narrows nothing).
     let slabs = contracted_unit_slabs(space);
-
-    let threads = cfg.threads.max(1).min(cfg.n_evals);
-    let mut results: Vec<Option<(Vec<f64>, f64)>> = vec![None; cfg.n_evals];
-    let chunk = cfg.n_evals.div_ceil(threads);
-    let errors: Mutex<Vec<CoreError>> = Mutex::new(Vec::new());
-
-    std::thread::scope(|s| {
-        for (ci, slot_chunk) in results.chunks_mut(chunk).enumerate() {
-            let base = ci * chunk;
-            let slabs = &slabs;
-            let subspace = &subspace;
-            let errors = &errors;
-            s.spawn(move || {
-                for (off, slot) in slot_chunk.iter_mut().enumerate() {
-                    let i = base + off;
-                    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(i as u64));
-                    let drawn = draw_config(objective, slabs, &mut rng);
-                    let projected = drawn.and_then(|config| {
-                        let y = objective.evaluate(&config).total;
-                        let u = subspace.project(&config)?;
-                        Ok((u, y))
-                    });
-                    match projected {
-                        Ok(pair) => *slot = Some(pair),
-                        Err(e) => errors.lock().push(e),
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some(e) = errors.into_inner().into_iter().next() {
-        return Err(e);
-    }
-    let history: Vec<(Vec<f64>, f64)> = results.into_iter().flatten().collect();
-    if history.len() != cfg.n_evals {
-        return Err(CoreError::SearchStalled(
-            "random search lost evaluations".into(),
-        ));
-    }
-
-    let mut best = f64::INFINITY;
-    let mut best_idx = 0;
-    let mut trace = Vec::with_capacity(history.len());
-    for (i, (_, y)) in history.iter().enumerate() {
-        if *y < best {
-            best = *y;
-            best_idx = i;
-        }
-        trace.push(best);
-    }
-    Ok(SearchOutcome {
-        best_config: subspace.lift(&history[best_idx].0)?,
-        best_value: best,
-        n_evals: history.len(),
-        incumbent_trace: trace,
-        history,
-        wall_time: start.elapsed(),
+    let history = par::map_indexed(workers, cfg.n_evals, |i| {
+        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(i as u64));
+        let config = draw_config(objective, &slabs, &mut rng)?;
+        let y = objective.evaluate(&config).total;
+        Ok((subspace.project(&config)?, y))
     })
+    .into_iter()
+    .collect::<Result<Vec<_>>>()?;
+    SearchOutcome::from_history(&subspace, history, start.elapsed())
 }
 
 #[cfg(test)]
@@ -124,7 +83,6 @@ mod tests {
             &RandomSearchConfig {
                 n_evals: 200,
                 seed: 5,
-                threads: 4,
             },
         )
         .unwrap();
@@ -137,21 +95,25 @@ mod tests {
     #[test]
     fn deterministic_across_thread_counts() {
         let obj = SplitSphere::new();
-        let mk = |threads| {
-            random_search(
-                &obj,
-                &RandomSearchConfig {
-                    n_evals: 50,
-                    seed: 9,
-                    threads,
-                },
-            )
-            .unwrap()
+        let cfg = RandomSearchConfig {
+            n_evals: 50,
+            seed: 9,
         };
-        let a = mk(1);
-        let b = mk(8);
-        assert_eq!(a.best_value, b.best_value);
-        assert_eq!(a.history, b.history);
+        // The reference: draw i from `seed + i`, evaluated in index order.
+        let sub = Subspace::full(obj.space(), obj.default_config()).unwrap();
+        let slabs = contracted_unit_slabs(obj.space());
+        let reference: Vec<(Vec<f64>, f64)> = (0..cfg.n_evals)
+            .map(|i| {
+                let mut rng = StdRng::seed_from_u64(cfg.seed + i as u64);
+                let config = draw_config(&obj, &slabs, &mut rng).unwrap();
+                (sub.project(&config).unwrap(), obj.evaluate(&config).total)
+            })
+            .collect();
+        for workers in [1, 3, 8] {
+            let out = search_with(&obj, &cfg, workers).unwrap();
+            assert_eq!(out.history, reference, "workers={workers}");
+        }
+        assert_eq!(random_search(&obj, &cfg).unwrap().history, reference);
     }
 
     #[test]
@@ -177,7 +139,6 @@ mod tests {
             &RandomSearchConfig {
                 n_evals: 30,
                 seed: 1,
-                threads: 2,
             },
         )
         .unwrap();

@@ -34,9 +34,13 @@ pub fn render_markdown<O: Objective + ?Sized>(
         "- **Routines**: {}",
         objective.routine_names().join(", ")
     );
+    let failed = match report.failed_variations {
+        0 => String::new(),
+        n => format!(", {n} failed"),
+    };
     let _ = writeln!(
         md,
-        "- **Sensitivity cost**: {} evaluations ({} variations/parameter)",
+        "- **Sensitivity cost**: {} evaluations ({} variations/parameter{failed})",
         report.scores.observation_cost(),
         report.scores.variations()
     );

@@ -518,11 +518,6 @@ impl<'a, O: Objective + ?Sized> ResilientObjective<'a, O> {
         }
     }
 
-    /// Wrap with the default policy and the system clock.
-    pub fn with_defaults(inner: &'a O) -> Self {
-        Self::new(inner, GuardPolicy::default(), Arc::new(SystemClock::new()))
-    }
-
     /// The wrapped objective.
     pub fn inner(&self) -> &O {
         self.inner

@@ -15,7 +15,7 @@
 //! quantity the methodology minimizes relative to full orthogonality
 //! analyses.
 
-use crate::objective::Objective;
+use crate::objective::{Objective, Observation};
 use crate::{CoreError, Result};
 use cets_space::{Config, ParamDef, ParamValue, SearchSpace};
 use cets_stats::SensitivityScores;
@@ -166,51 +166,62 @@ pub fn routine_sensitivity<O: Objective + ?Sized>(
     baseline: &Config,
     policy: &VariationPolicy,
 ) -> Result<SensitivityScores> {
+    let (scores, _) = sensitivity_pass(objective, baseline, policy, |cfg| {
+        Some(objective.evaluate(cfg))
+    })?;
+    Ok(scores)
+}
+
+/// [`routine_sensitivity`] over an evaluator that may fail: `observe`
+/// returns `None` for a failed evaluation. Returns the scores and the
+/// number of failed variations.
+///
+/// A failed or non-finite variation is substituted with the baseline row:
+/// it contributes zero variability, conservatively under-reporting
+/// influence instead of letting a NaN poison every downstream score. A
+/// failed baseline is an error — there is nothing to vary around.
+pub(crate) fn sensitivity_pass<O: Objective + ?Sized>(
+    objective: &O,
+    baseline: &Config,
+    policy: &VariationPolicy,
+    observe: impl Fn(&Config) -> Option<Observation>,
+) -> Result<(SensitivityScores, usize)> {
     let space = objective.space();
     let param_names = space.names().to_vec();
     let mut routine_names = objective.routine_names();
     routine_names.push("total".to_string());
 
-    let observe = |cfg: &Config| -> Vec<f64> {
-        let obs = objective.evaluate(cfg);
+    let row = |cfg: &Config| -> Option<Vec<f64>> {
+        let obs = observe(cfg)?;
         let mut row = obs.routines;
         row.push(obs.total);
-        row
+        row.iter().all(|v| v.is_finite()).then_some(row)
     };
 
-    let base_out = observe(baseline);
-    if base_out.iter().any(|v| !v.is_finite()) {
+    let Some(base_out) = row(baseline) else {
         return Err(CoreError::SearchStalled(
-            "baseline evaluation produced a non-finite value; \
+            "baseline evaluation failed or produced a non-finite value; \
              sensitivity analysis needs a runnable baseline"
                 .into(),
         ));
-    }
+    };
+    let mut failed = 0;
     let mut varied: Vec<Vec<Vec<f64>>> = Vec::with_capacity(param_names.len());
     for p in 0..param_names.len() {
         let rows: Vec<Vec<f64>> = valid_variations(space, baseline, p, policy)
             .iter()
             .map(|cfg| {
-                let row = observe(cfg);
-                // A crashed or non-finite variation is substituted with the
-                // baseline row: it contributes zero variability,
-                // conservatively under-reporting influence instead of
-                // letting a NaN poison every downstream score.
-                if row.iter().any(|v| !v.is_finite()) {
+                row(cfg).unwrap_or_else(|| {
+                    failed += 1;
                     base_out.clone()
-                } else {
-                    row
-                }
+                })
             })
             .collect();
         varied.push(rows);
     }
-    Ok(SensitivityScores::from_observations(
-        &param_names,
-        &routine_names,
-        &base_out,
-        &varied,
-    )?)
+    let scores =
+        SensitivityScores::from_observations(&param_names, &routine_names, &base_out, &varied)?;
+    Ok((scores, failed))
 }
 
 #[cfg(test)]
@@ -309,6 +320,25 @@ mod tests {
         // r0 is 0 at baseline -> degenerate zero-baseline error is the
         // correct, explicit outcome.
         assert!(s.is_err());
+    }
+
+    #[test]
+    fn failed_variations_take_the_baseline_row_and_are_counted() {
+        let obj = SplitSphere::new();
+        let policy = VariationPolicy::Spread { count: 5 };
+        // Every variation that moves x0 fails; the rest evaluate.
+        let (s, failed) = sensitivity_pass(&obj, &baseline3(), &policy, |cfg| {
+            (cfg[0] == baseline3()[0]).then(|| obj.evaluate(cfg))
+        })
+        .unwrap();
+        assert_eq!(failed, 5);
+        for r in ["r0", "r1", "total"] {
+            assert_eq!(s.score_by_name("x0", r).unwrap(), 0.0, "x0 → {r}");
+        }
+        let clean = routine_sensitivity(&obj, &baseline3(), &policy).unwrap();
+        assert_eq!(s.score_by_name("x2", "r1"), clean.score_by_name("x2", "r1"));
+        // A failed baseline is an error, not a substitution.
+        assert!(sensitivity_pass(&obj, &baseline3(), &policy, |_| None).is_err());
     }
 
     #[test]

@@ -87,7 +87,6 @@ pub fn run_strategy<O: Objective + ?Sized>(
                 &RandomSearchConfig {
                     n_evals: *n_evals,
                     seed: bo_template.seed,
-                    threads: 8,
                 },
             )?;
             (out.best_config, out.best_value)

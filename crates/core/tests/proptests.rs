@@ -5,7 +5,7 @@ use cets_core::checkpoint::CHECKPOINT_MAGIC;
 use cets_core::normal;
 use cets_core::{
     routine_sensitivity, BoCheckpoint, BoConfig, BoSearch, EvalRecord, FailedEval, FailureKind,
-    FailurePolicy, Imputation, Objective, Observation, VariationPolicy,
+    FailurePolicy, Objective, Observation, VariationPolicy,
 };
 use cets_space::{Config, SearchSpace, Subspace};
 use proptest::prelude::*;
@@ -152,8 +152,7 @@ proptest! {
 
     /// The failure policy's core guarantee: whatever mix of successes,
     /// failures, non-finite observations and poisoned coordinates the
-    /// history holds, and whatever (possibly non-finite) margin is
-    /// configured, the training set handed to the GP is entirely finite.
+    /// history holds, the training set handed to the GP is entirely finite.
     #[test]
     fn training_data_is_always_finite(
         raw in proptest::collection::vec(
@@ -177,12 +176,6 @@ proptest! {
             ),
             0..40,
         ),
-        margin in prop_oneof![
-            (-2.0..5.0f64).boxed(),
-            Just(f64::NAN).boxed(),
-            Just(f64::INFINITY).boxed(),
-        ],
-        exclude in prop_oneof![Just(true).boxed(), Just(false).boxed()],
     ) {
         let records: Vec<EvalRecord> = raw
             .into_iter()
@@ -202,14 +195,7 @@ proptest! {
                 }),
             })
             .collect();
-        let policy = FailurePolicy {
-            imputation: if exclude {
-                Imputation::Exclude
-            } else {
-                Imputation::WorstPlusMargin { margin }
-            },
-            ..Default::default()
-        };
+        let policy = FailurePolicy::default();
         let (xs, ys) = policy.training_data(&records);
         prop_assert_eq!(xs.len(), ys.len());
         for (x, y) in xs.iter().zip(&ys) {

@@ -14,10 +14,13 @@
 //!   gradient of the log marginal likelihood, in log-space;
 //! * [`SparseGp`] / [`Surrogate`] — the inducing-point (SGPR) tier and the
 //!   tier-selection layer over it: `O(N·m²)` training against the
-//!   variational ELBO, `O(m)`/`O(m²)` predictions, automatic escalation
-//!   past a configurable training-set size ([`TierPolicy`]);
+//!   variational ELBO (two fixed Nelder–Mead starts; only the inducing
+//!   count, [`SparseOptions::m_inducing`], is settable), `O(m)`/`O(m²)`
+//!   predictions, automatic escalation past a configurable training-set
+//!   size ([`TierPolicy`]);
 //! * [`nelder_mead`] — the derivative-free simplex optimizer that trains
-//!   the sparse tier, exposed for reuse.
+//!   the sparse tier, exposed as the reference optimizer the training
+//!   tests compare L-BFGS against.
 //!
 //! Targets are standardized internally (zero mean, unit variance) so kernel
 //! hyperparameter priors stay scale-free; predictions are returned in the

@@ -66,7 +66,7 @@ use crate::gp::{
     Gp, GpConfig,
 };
 use crate::kernel::Kernel;
-use crate::optimize::nelder_mead;
+use crate::optimize::{nelder_mead, NelderMeadOptions};
 use crate::{GpError, Result};
 use cets_linalg::{par, Cholesky, Matrix};
 use rand::rngs::StdRng;
@@ -130,27 +130,25 @@ pub struct SparseOptions {
     /// Number of inducing points (k-center subset of the training inputs;
     /// clamped to the training-set size).
     pub m_inducing: usize,
-    /// Nelder–Mead restarts for ELBO optimization. Fewer than the exact
-    /// tier's default: each restart is `O(n·m²)` per evaluation and the
-    /// ELBO landscape is smoother than the exact LML's.
-    pub n_restarts: usize,
-    /// Inner Nelder–Mead options for ELBO optimization.
-    pub nm: crate::optimize::NelderMeadOptions,
 }
 
 impl Default for SparseOptions {
     fn default() -> Self {
-        SparseOptions {
-            m_inducing: 48,
-            n_restarts: 2,
-            nm: crate::optimize::NelderMeadOptions {
-                max_evals: 120,
-                f_tol: 1e-6,
-                initial_step: 0.5,
-            },
-        }
+        SparseOptions { m_inducing: 48 }
     }
 }
+
+/// Nelder–Mead restarts for ELBO optimization. Fewer than the exact tier's
+/// default: each restart is `O(n·m²)` per evaluation and the ELBO
+/// landscape is smoother than the exact LML's.
+const ELBO_RESTARTS: usize = 2;
+
+/// Inner Nelder–Mead options for ELBO optimization.
+const ELBO_NM: NelderMeadOptions = NelderMeadOptions {
+    max_evals: 120,
+    f_tol: 1e-6,
+    initial_step: 0.5,
+};
 
 /// A fitted sparse (SGPR) Gaussian process.
 ///
@@ -519,7 +517,7 @@ impl SparseGp {
         // Worker budget: ELBO restarts on the outside, the O(n·m²)
         // linear algebra inside each restart (see `Gp::train`).
         let threads = cfg.par.resolve();
-        let starts = cfg.sparse.n_restarts.max(1);
+        let starts = ELBO_RESTARTS;
         let ow = threads.min(starts);
         let iw = (threads / ow).max(1);
 
@@ -538,7 +536,7 @@ impl SparseGp {
                 raw.borrow_mut().push(-value);
                 value
             };
-            let out = nelder_mead(neg_elbo, p0, &cfg.sparse.nm);
+            let out = nelder_mead(neg_elbo, p0, &ELBO_NM);
             (out, raw.into_inner())
         };
 

@@ -189,10 +189,7 @@ fn sparse_n150_d7_m45() {
         let cfg = GpConfig {
             seed: 150,
             par: ParConfig::fixed(workers),
-            sparse: SparseOptions {
-                m_inducing: 45,
-                ..SparseOptions::default()
-            },
+            sparse: SparseOptions { m_inducing: 45 },
             ..GpConfig::default()
         };
         let sp = SparseGp::train(&x, &y, &cfg).unwrap();

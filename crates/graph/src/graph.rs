@@ -84,11 +84,6 @@ impl InfluenceGraph {
         Ok(())
     }
 
-    /// The owner of parameter `param`, if declared.
-    pub fn owner_of(&self, param: &str) -> Result<Option<usize>> {
-        Ok(self.owner[self.param_index(param)?])
-    }
-
     /// Record the influence score of `param` on `routine`.
     pub fn set_score(&mut self, param: &str, routine: &str, score: f64) -> Result<()> {
         let p = self.param_index(param)?;
@@ -152,21 +147,6 @@ impl InfluenceGraph {
             .into_iter()
             .filter(|e| e.from.is_some_and(|f| f != e.to))
             .collect())
-    }
-
-    /// The strongest influence of `param` over all routines, with the
-    /// argmax routine index. Used for shared-parameter assignment (paper
-    /// step 5: prioritize the kernel with highest impact).
-    pub fn strongest_routine(&self, param: &str) -> Result<(usize, f64)> {
-        let p = self.param_index(param)?;
-        let (mut best_r, mut best_s) = (0usize, f64::NEG_INFINITY);
-        for (r, &s) in self.scores[p].iter().enumerate() {
-            if s > best_s {
-                best_s = s;
-                best_r = r;
-            }
-        }
-        Ok((best_r, best_s))
     }
 
     /// Parameters owned by routine `r` (indices).
@@ -245,14 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn strongest_routine_for_shared_param() {
-        let g = synthetic_case3();
-        let (r, s) = g.strongest_routine("x15").unwrap();
-        assert_eq!(r, 3); // G4 at 0.75
-        assert_eq!(s, 0.75);
-    }
-
-    #[test]
     fn params_of_and_importance() {
         let g = synthetic_case3();
         assert_eq!(g.params_of(2), vec![2]); // G3 owns x10
@@ -264,7 +236,7 @@ mod tests {
         let mut g = InfluenceGraph::new(vec!["A".into(), "B".into()], vec!["nb".into()]);
         g.set_scores("nb", &[3.2, 0.9]).unwrap();
         assert_eq!(g.importance(0), 3.2);
-        assert_eq!(g.owner_of("nb").unwrap(), None);
+        assert!(g.params_of(0).is_empty() && g.params_of(1).is_empty());
         // No cross edges for ownerless params.
         assert!(g.cross_edges(0.1).unwrap().is_empty());
     }

@@ -42,11 +42,6 @@ impl Partition {
         &self.groups
     }
 
-    /// Mutable access for plan post-processing (shared-param reassignment).
-    pub fn groups_mut(&mut self) -> &mut [SearchGroup] {
-        &mut self.groups
-    }
-
     /// Routines declared upstream.
     pub fn precedence(&self) -> &[usize] {
         &self.precedence

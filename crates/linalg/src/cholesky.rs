@@ -35,18 +35,13 @@ impl Cholesky {
     }
 
     /// Factorize `a + jitter * I`, retrying with jitter escalated by 10x up
-    /// to `1e-4 * mean(diag)` when the factorization fails.
+    /// to `max_jitter` when the factorization fails.
     ///
     /// This mirrors the behaviour of mainstream GP libraries (GPy, GPyTorch,
-    /// GPTune's underlying models). Starts from `initial` (use `1e-10` of the
-    /// mean diagonal as a sensible default via [`Cholesky::new_jittered`]).
-    pub fn new_escalating(a: &Matrix, initial: f64, max_jitter: f64) -> Result<Self> {
-        Self::new_escalating_with(a, initial, max_jitter, par::global_threads())
-    }
-
-    /// [`Cholesky::new_escalating`] with an explicit worker count for the
-    /// blocked kernel's trailing update. The factor is bit-identical at
-    /// every worker count; `workers <= 1` takes the sequential path.
+    /// GPTune's underlying models). Starts from `initial` (zero jitter first
+    /// via [`Cholesky::new_jittered`]). The factor is bit-identical at every
+    /// worker count of the blocked kernel's trailing update; `workers <= 1`
+    /// takes the sequential path.
     pub fn new_escalating_with(
         a: &Matrix,
         initial: f64,
@@ -374,27 +369,6 @@ impl Cholesky {
     /// Solve `A x = b` via the two triangular solves.
     pub fn solve_vec(&self, b: &[f64]) -> Vec<f64> {
         self.solve_upper(&self.solve_lower(b))
-    }
-
-    /// Solve `A X = B` column by column.
-    pub fn solve_mat(&self, b: &Matrix) -> Result<Matrix> {
-        if b.rows() != self.dim() {
-            return Err(LinalgError::ShapeMismatch(format!(
-                "solve_mat: rhs has {} rows, factor is {}x{}",
-                b.rows(),
-                self.dim(),
-                self.dim()
-            )));
-        }
-        let mut out = Matrix::zeros(b.rows(), b.cols());
-        for j in 0..b.cols() {
-            let col = b.col(j);
-            let x = self.solve_vec(&col);
-            for i in 0..b.rows() {
-                out[(i, j)] = x[i];
-            }
-        }
-        Ok(out)
     }
 
     /// `log det(A) = 2 Σ log L_ii` — needed for the GP log marginal

@@ -9,8 +9,6 @@
 //! * [`Cholesky`] factorization with automatic jitter escalation — the
 //!   workhorse of Gaussian-process fitting (the `O(N^3)` cost the paper
 //!   discusses comes from here),
-//! * [`Lu`] (partial pivoting) for general square solves, which the
-//!   statistics layer's partial correlations use,
 //! * [`SymEigen`] (cyclic Jacobi) for the GP layer's kernel-conditioning
 //!   diagnostic,
 //! * free-function vector helpers in [`vecops`].
@@ -36,7 +34,6 @@
 
 mod cholesky;
 mod eigen;
-mod lu;
 mod matrix;
 pub mod par;
 #[doc(hidden)]
@@ -45,7 +42,6 @@ pub mod vecops;
 
 pub use cholesky::Cholesky;
 pub use eigen::SymEigen;
-pub use lu::Lu;
 pub use matrix::Matrix;
 pub use par::{ParConfig, Threads};
 
@@ -58,8 +54,6 @@ pub enum LinalgError {
     /// The matrix was not positive definite even after the maximum jitter
     /// escalation; payload is the last jitter tried.
     NotPositiveDefinite { last_jitter: f64 },
-    /// The matrix is singular to working precision (LU).
-    Singular,
     /// The operation requires a square matrix.
     NotSquare { rows: usize, cols: usize },
 }
@@ -72,7 +66,6 @@ impl std::fmt::Display for LinalgError {
                 f,
                 "matrix not positive definite (last jitter tried: {last_jitter:e})"
             ),
-            LinalgError::Singular => write!(f, "matrix is singular to working precision"),
             LinalgError::NotSquare { rows, cols } => {
                 write!(f, "operation requires a square matrix, got {rows}x{cols}")
             }

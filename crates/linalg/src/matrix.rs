@@ -414,28 +414,6 @@ impl Matrix {
             .collect()
     }
 
-    /// Transposed matrix-vector product `selfᵀ * x`.
-    pub fn mat_t_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            x.len(),
-            self.rows,
-            "mat_t_vec: vector length {} != rows {}",
-            x.len(),
-            self.rows
-        );
-        let mut out = vec![0.0; self.cols];
-        for i in 0..self.rows {
-            let xi = x[i];
-            if xi == 0.0 {
-                continue;
-            }
-            for (o, &a) in out.iter_mut().zip(self.row(i)) {
-                *o += a * xi;
-            }
-        }
-        out
-    }
-
     /// Elementwise sum `self + other`.
     pub fn add(&self, other: &Matrix) -> Result<Matrix> {
         self.zip_with(other, |a, b| a + b, "add")
@@ -602,7 +580,7 @@ mod tests {
     fn mat_vec_and_transposed() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         assert_eq!(a.mat_vec(&[1.0, 1.0]), vec![3.0, 7.0, 11.0]);
-        assert_eq!(a.mat_t_vec(&[1.0, 1.0, 1.0]), vec![9.0, 12.0]);
+        assert_eq!(a.transpose().mat_vec(&[1.0, 1.0, 1.0]), vec![9.0, 12.0]);
     }
 
     #[test]

@@ -40,12 +40,6 @@ pub fn weighted_sq_dist(a: &[f64], b: &[f64], w: &[f64]) -> f64 {
         .sum()
 }
 
-/// `a + s * b`, elementwise, into a new vector.
-pub fn axpy(s: f64, b: &[f64], a: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "axpy: length mismatch");
-    a.iter().zip(b).map(|(&x, &y)| x + s * y).collect()
-}
-
 /// Arithmetic mean; 0.0 for an empty slice.
 pub fn mean(a: &[f64]) -> f64 {
     if a.is_empty() {
@@ -84,11 +78,6 @@ pub fn argmin(a: &[f64]) -> Option<(usize, f64)> {
     best
 }
 
-/// Maximum value and its index; `None` for an empty slice or all-NaN input.
-pub fn argmax(a: &[f64]) -> Option<(usize, f64)> {
-    argmin(&a.iter().map(|&v| -v).collect::<Vec<_>>()).map(|(i, v)| (i, -v))
-}
-
 /// Indices `0..a.len()` sorted by `a` descending (NaN sorts last).
 pub fn rank_desc(a: &[f64]) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..a.len()).collect();
@@ -116,11 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_basic() {
-        assert_eq!(axpy(2.0, &[1.0, 1.0], &[0.0, 3.0]), vec![2.0, 5.0]);
-    }
-
-    #[test]
     fn moments() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
@@ -133,7 +117,6 @@ mod tests {
     fn argminmax() {
         let xs = [3.0, 1.0, 4.0, 1.5];
         assert_eq!(argmin(&xs), Some((1, 1.0)));
-        assert_eq!(argmax(&xs), Some((2, 4.0)));
         assert_eq!(argmin(&[]), None);
         // NaN is skipped, not propagated.
         assert_eq!(argmin(&[f64::NAN, 2.0]), Some((1, 2.0)));

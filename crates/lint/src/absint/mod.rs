@@ -243,7 +243,7 @@ pub struct ConstraintAnalysis {
 /// ([SplitMix64](https://prng.di.unimi.it/splitmix64.c) stream), so the
 /// estimate is a pure function of the bundle.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct McFeasibility {
+pub(crate) struct McFeasibility {
     /// Number of uniform probes drawn from the declared box.
     pub probes: u64,
     /// Probes satisfying every analyzable constraint.
@@ -281,11 +281,6 @@ pub struct SpaceAnalysis {
     /// measure ratios; `0` when proved empty, `1` with no contraction).
     /// A tiny value predicts rejection-sampling thrash.
     pub feasible_fraction: f64,
-    /// Fixed-seed Monte-Carlo estimate of the feasible fraction with its
-    /// Wilson confidence interval; `None` when there is no analyzable
-    /// constraint to probe (the fraction is then exactly `1`) or the box
-    /// is proved empty (exactly `0`).
-    pub mc_feasible: Option<McFeasibility>,
     /// The abstract domain the analysis ran in.
     pub domain: Domain,
     /// Two-variable bounds proved by the octagon domain that are strictly
@@ -442,7 +437,6 @@ pub fn analyze_space_with(bundle: &PlanBundle, opts: &AnalysisOptions) -> SpaceA
         iterations: 0,
         converged: true,
         feasible_fraction: 1.0,
-        mc_feasible: None,
         domain: opts.domain,
         relations: Vec::new(),
         split_branches: 1,
@@ -712,13 +706,37 @@ pub fn analyze_space_with(bundle: &PlanBundle, opts: &AnalysisOptions) -> SpaceA
             out.relations = build_relations(oct, &out.params, &stated);
         }
     }
-
-    // Monte-Carlo cross-check: only meaningful with at least one probe-able
-    // constraint and a non-empty box.
-    if !out.proved_empty && !expr_refs.is_empty() {
-        out.mc_feasible = Some(mc_feasible_fraction(&param_refs, &expr_refs, MC_PROBES));
-    }
     out
+}
+
+/// Fixed-seed Monte-Carlo estimate of the fraction of the declared box
+/// satisfying every analyzable constraint, with its Wilson confidence
+/// interval — the cross-check diagnostic `A003` reports when it fires.
+/// `None` when there is no analyzable constraint to probe (the fraction
+/// is then exactly `1`) or some domain is invalid (`S002` territory).
+pub(crate) fn mc_feasibility(bundle: &PlanBundle) -> Option<McFeasibility> {
+    if bundle
+        .params
+        .iter()
+        .any(|p| initial_interval(&p.def).is_none())
+    {
+        return None;
+    }
+    let exprs: Vec<expr::Expr> = bundle
+        .constraints
+        .iter()
+        .filter_map(|c| expr::parse(&c.expr).ok())
+        .filter(|e| e.vars().iter().all(|v| bundle.has_param(v)))
+        .collect();
+    if exprs.is_empty() {
+        return None;
+    }
+    let defs: Vec<(&str, &ParamDef)> = bundle
+        .params
+        .iter()
+        .map(|p| (p.name.as_str(), &p.def))
+        .collect();
+    Some(mc_feasible_fraction(&defs, &exprs, MC_PROBES))
 }
 
 /// Canonical key for a directly-stated two-variable bound:
@@ -860,39 +878,26 @@ fn build_relations(
     out
 }
 
-/// Probes drawn by [`analyze_space`]'s Monte-Carlo cross-check.
-pub const MC_PROBES: u64 = 4096;
+/// Probes drawn by the Monte-Carlo cross-check ([`mc_feasibility`]).
+pub(crate) const MC_PROBES: u64 = 4096;
 
-/// The SplitMix64 step — a tiny, seedable, allocation-free generator so
-/// the probe stream needs no RNG dependency and is identical on every run.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// SplitMix64 — a tiny, seedable, allocation-free generator, so the
+/// linter's probe streams need no RNG dependency and are identical on
+/// every run.
+pub(crate) struct SplitMix64(pub(crate) u64);
 
-/// One uniform representable value of `def` from a `[0, 1)` draw,
-/// mirroring `ParamDef::decode`'s equal-bin treatment of discrete domains.
-fn sample_def(def: &ParamDef, u: f64) -> f64 {
-    match def {
-        ParamDef::Real { lo, hi } => lo + u * (hi - lo),
-        ParamDef::Integer { lo, hi } => {
-            let n = (hi - lo + 1) as f64;
-            *lo as f64 + (u * n).floor().min(n - 1.0)
-        }
-        ParamDef::Ordinal { values } => {
-            let n = values.len() as f64;
-            values
-                .get((u * n).floor().min(n - 1.0).max(0.0) as usize)
-                .copied()
-                .unwrap_or(0.0)
-        }
-        ParamDef::Categorical { options } => {
-            let n = options.len().max(1) as f64;
-            (u * n).floor().min(n - 1.0)
-        }
+impl SplitMix64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A uniform draw from `[0, 1)` on the 53-bit grid.
+    pub(crate) fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 
@@ -904,16 +909,16 @@ fn sample_def(def: &ParamDef, u: f64) -> f64 {
 /// rejection test).
 fn mc_feasible_fraction(
     params: &[(&str, &ParamDef)],
-    exprs: &[&expr::Expr],
+    exprs: &[expr::Expr],
     probes: u64,
 ) -> McFeasibility {
-    let mut state: u64 = 0x5EED_CE75_F3A5_1B0E;
+    let mut rng = SplitMix64(0x5EED_CE75_F3A5_1B0E);
     let mut env: std::collections::BTreeMap<String, Interval> = std::collections::BTreeMap::new();
     let mut hits = 0u64;
     for _ in 0..probes {
         for (name, def) in params {
-            let u = (splitmix64(&mut state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-            env.insert((*name).to_string(), Interval::point(sample_def(def, u)));
+            let v = def.decode(rng.next_f64()).as_f64();
+            env.insert((*name).to_string(), Interval::point(v));
         }
         let ok = exprs.iter().all(|e| {
             let v = eval_expr(e, &env);
@@ -1166,7 +1171,10 @@ mod tests {
         assert!(!s.proved_empty);
         assert_eq!(s.feasible_fraction, 1.0);
         assert!(s.converged);
-        assert!(s.mc_feasible.is_none(), "nothing to probe");
+        assert!(
+            mc_feasibility(&PlanBundle::default()).is_none(),
+            "nothing to probe"
+        );
     }
 
     #[test]
@@ -1204,8 +1212,7 @@ mod tests {
             vec![param("a", ParamDef::Integer { lo: 0, hi: 99 })],
             vec![constraint("cap", "a <= 24")],
         );
-        let s = analyze_space(&b);
-        let mc = s.mc_feasible.expect("probed");
+        let mc = mc_feasibility(&b).expect("probed");
         assert_eq!(mc.probes, MC_PROBES);
         assert!(
             (mc.estimate - 0.25).abs() < 0.03,
@@ -1214,7 +1221,7 @@ mod tests {
         );
         assert!(mc.ci_lo < 0.25 && 0.25 < mc.ci_hi, "{mc:?}");
         // Deterministic: same bundle, same counts.
-        let again = analyze_space(&b).mc_feasible.expect("probed");
+        let again = mc_feasibility(&b).expect("probed");
         assert_eq!(mc, again);
     }
 
@@ -1500,10 +1507,15 @@ mod tests {
 
     #[test]
     fn mc_skipped_when_proved_empty() {
+        // A proved-empty box raises A001, not the thrash warning whose
+        // cross-check the probes feed, so no probe is drawn.
         let b = bundle(
             vec![param("a", ParamDef::Integer { lo: 1, hi: 8 })],
             vec![constraint("dead", "a > 100")],
         );
-        assert!(analyze_space(&b).mc_feasible.is_none());
+        assert!(analyze_space(&b).proved_empty);
+        let mut out = Vec::new();
+        crate::Lint::check(&crate::rules::feasibility::Feasibility::new(), &b, &mut out);
+        assert!(out.iter().all(|d| d.code != "A003"), "{out:?}");
     }
 }

@@ -73,7 +73,7 @@ pub mod span;
 pub use absint::Congruence;
 pub use absint::{
     analyze_space, analyze_space_with, apply_contraction, wilson_interval, AnalysisOptions,
-    ConstraintClass, Domain, Interval, McFeasibility, Relation, RelationKind, SpaceAnalysis,
+    ConstraintClass, Domain, Interval, Relation, RelationKind, SpaceAnalysis,
 };
 pub use bundle::{
     ConstraintSpec, KernelSpec, ParamSpec, PlanBundle, PlanSpec, SearchSpec, UnresolvedRef,

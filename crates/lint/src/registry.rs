@@ -16,9 +16,6 @@ use crate::diag::{Diagnostic, Severity};
 /// crate's property tests, which feed arbitrary bundles to the full
 /// registry.
 pub trait Lint {
-    /// Stable rule name (kebab-case), e.g. `"duplicate-params"`.
-    fn name(&self) -> &'static str;
-
     /// Diagnostic codes this rule can emit (for `--explain`-style docs).
     fn codes(&self) -> &'static [&'static str];
 
@@ -51,11 +48,6 @@ impl Report {
     /// No findings at all.
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty()
-    }
-
-    /// The highest severity present, if any finding exists.
-    pub fn max_severity(&self) -> Option<Severity> {
-        self.diagnostics.iter().map(|d| d.severity).max()
     }
 
     /// All findings with the given code (for tests).
@@ -123,11 +115,6 @@ impl Registry {
     /// Add a rule (runs after all previously registered ones).
     pub fn register(&mut self, rule: Box<dyn Lint>) {
         self.rules.push(rule);
-    }
-
-    /// Registered rule names, in order.
-    pub fn rule_names(&self) -> Vec<&'static str> {
-        self.rules.iter().map(|r| r.name()).collect()
     }
 
     /// Every diagnostic code a registered rule can emit, in registration
@@ -241,7 +228,6 @@ mod tests {
     fn empty_bundle_is_clean() {
         let report = lint(&PlanBundle::default());
         assert_eq!(report.errors(), 0, "{:?}", report.diagnostics);
-        assert!(report.max_severity().is_none() || report.errors() == 0);
     }
 
     #[test]
@@ -249,9 +235,6 @@ mod tests {
         use crate::diag::Location;
         struct Echo;
         impl Lint for Echo {
-            fn name(&self) -> &'static str {
-                "echo"
-            }
             fn codes(&self) -> &'static [&'static str] {
                 &["S999"]
             }
@@ -281,7 +264,6 @@ mod tests {
         assert_eq!(rep.errors(), 1);
         assert_eq!(rep.warnings(), 1);
         assert!(!rep.is_clean());
-        assert_eq!(rep.max_severity(), Some(Severity::Error));
         assert!(rep.has_code("S001"));
         assert!(!rep.has_code("S002"));
     }

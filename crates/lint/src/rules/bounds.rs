@@ -12,10 +12,6 @@ use crate::registry::Lint;
 pub struct Bounds;
 
 impl Lint for Bounds {
-    fn name(&self) -> &'static str {
-        "bounds"
-    }
-
     fn codes(&self) -> &'static [&'static str] {
         &["S002"]
     }

@@ -12,6 +12,7 @@
 //! constraints that do not parse are skipped (the linter only reasons
 //! about what it understands).
 
+use crate::absint::SplitMix64;
 use crate::bundle::PlanBundle;
 use crate::diag::{Diagnostic, Location};
 use crate::expr;
@@ -22,27 +23,9 @@ use std::collections::HashMap;
 /// Number of probe configurations sampled per bundle.
 const PROBES: usize = 256;
 
-/// Deterministic SplitMix64 — the linter must not depend on global RNG
-/// state, so two runs over the same bundle always agree.
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
 /// Sample one numeric value from a domain (numeric view: categorical as
 /// option index). Returns `None` for invalid domains (S002 territory).
-fn sample(def: &ParamDef, rng: &mut SplitMix) -> Option<f64> {
+fn sample(def: &ParamDef, rng: &mut SplitMix64) -> Option<f64> {
     match def {
         ParamDef::Real { lo, hi } => {
             if !(lo.is_finite() && hi.is_finite() && lo < hi) {
@@ -76,10 +59,6 @@ fn sample(def: &ParamDef, rng: &mut SplitMix) -> Option<f64> {
 pub struct ConstraintSatisfiability;
 
 impl Lint for ConstraintSatisfiability {
-    fn name(&self) -> &'static str {
-        "constraint-satisfiability"
-    }
-
     fn codes(&self) -> &'static [&'static str] {
         &["S004"]
     }
@@ -103,7 +82,9 @@ impl Lint for ConstraintSatisfiability {
             return;
         }
         // Domains must all be sampleable; otherwise S002 is the real story.
-        let mut rng = SplitMix(0x5EED_CE75);
+        // Deterministic — the linter must not depend on global RNG state,
+        // so two runs over the same bundle always agree.
+        let mut rng = SplitMix64(0x5EED_CE75);
         let mut sat = vec![0usize; parsed.len()];
         let mut joint = 0usize;
         let mut probes_run = 0usize;

@@ -21,10 +21,6 @@ use std::collections::HashMap;
 pub struct GraphCycles;
 
 impl Lint for GraphCycles {
-    fn name(&self) -> &'static str {
-        "graph-cycles"
-    }
-
     fn codes(&self) -> &'static [&'static str] {
         &["G001"]
     }

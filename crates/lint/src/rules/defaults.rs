@@ -15,10 +15,6 @@ use cets_space::{ParamDef, ParamValue};
 pub struct DefaultsInBounds;
 
 impl Lint for DefaultsInBounds {
-    fn name(&self) -> &'static str {
-        "defaults-in-bounds"
-    }
-
     fn codes(&self) -> &'static [&'static str] {
         &["S003"]
     }

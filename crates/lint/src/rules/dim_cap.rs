@@ -18,10 +18,6 @@ use crate::registry::Lint;
 pub struct DimensionCap;
 
 impl Lint for DimensionCap {
-    fn name(&self) -> &'static str {
-        "dimension-cap"
-    }
-
     fn codes(&self) -> &'static [&'static str] {
         &["G003"]
     }

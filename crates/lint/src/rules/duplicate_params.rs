@@ -14,10 +14,6 @@ use std::collections::HashSet;
 pub struct DuplicateParams;
 
 impl Lint for DuplicateParams {
-    fn name(&self) -> &'static str {
-        "duplicate-params"
-    }
-
     fn codes(&self) -> &'static [&'static str] {
         &["S001"]
     }

@@ -49,7 +49,7 @@
 //! invalid domains) are skipped entirely — interval analysis over a
 //! malformed box proves nothing.
 
-use crate::absint::{analyze_space_with, AnalysisOptions, ConstraintClass};
+use crate::absint::{analyze_space_with, mc_feasibility, AnalysisOptions, ConstraintClass};
 use crate::bundle::PlanBundle;
 use crate::diag::{Diagnostic, Location};
 use crate::registry::Lint;
@@ -78,10 +78,6 @@ impl Feasibility {
 }
 
 impl Lint for Feasibility {
-    fn name(&self) -> &'static str {
-        "feasibility"
-    }
-
     fn codes(&self) -> &'static [&'static str] {
         &[
             "A001", "A002", "A003", "A004", "A005", "A006", "A007", "A008", "A009", "A010", "A011",
@@ -151,8 +147,7 @@ impl Lint for Feasibility {
             // The fixed-seed Monte-Carlo cross-check quantifies how precise
             // the point estimate is: a gate sitting near the threshold can
             // read the Wilson bounds instead of flapping on a bare number.
-            let mc_note = analysis
-                .mc_feasible
+            let mc_note = mc_feasibility(bundle)
                 .map(|m| {
                     format!(
                         "; Monte-Carlo cross-check: {}/{} probes feasible, \

@@ -15,10 +15,6 @@ use crate::registry::Lint;
 pub struct KernelPsd;
 
 impl Lint for KernelPsd {
-    fn name(&self) -> &'static str {
-        "kernel-psd"
-    }
-
     fn codes(&self) -> &'static [&'static str] {
         &["N001"]
     }

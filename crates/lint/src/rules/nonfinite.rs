@@ -14,10 +14,6 @@ use crate::registry::Lint;
 pub struct NonFiniteInputs;
 
 impl Lint for NonFiniteInputs {
-    fn name(&self) -> &'static str {
-        "non-finite-inputs"
-    }
-
     fn codes(&self) -> &'static [&'static str] {
         &["N002"]
     }

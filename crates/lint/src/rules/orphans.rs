@@ -15,10 +15,6 @@ use std::collections::BTreeSet;
 pub struct OrphanedParams;
 
 impl Lint for OrphanedParams {
-    fn name(&self) -> &'static str {
-        "orphaned-params"
-    }
-
     fn codes(&self) -> &'static [&'static str] {
         &["G002"]
     }

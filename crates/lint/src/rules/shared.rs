@@ -21,10 +21,6 @@ use std::collections::HashSet;
 pub struct SharedParamOwnership;
 
 impl Lint for SharedParamOwnership {
-    fn name(&self) -> &'static str {
-        "shared-param-ownership"
-    }
-
     fn codes(&self) -> &'static [&'static str] {
         &["G004"]
     }

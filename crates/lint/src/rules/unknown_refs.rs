@@ -16,10 +16,6 @@ use crate::registry::Lint;
 pub struct UnknownRefs;
 
 impl Lint for UnknownRefs {
-    fn name(&self) -> &'static str {
-        "unknown-refs"
-    }
-
     fn codes(&self) -> &'static [&'static str] {
         &["S005"]
     }

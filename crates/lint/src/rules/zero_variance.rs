@@ -17,10 +17,6 @@ use cets_space::ParamDef;
 pub struct ZeroVariance;
 
 impl Lint for ZeroVariance {
-    fn name(&self) -> &'static str {
-        "zero-variance"
-    }
-
     fn codes(&self) -> &'static [&'static str] {
         &["N003"]
     }

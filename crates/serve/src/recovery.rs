@@ -125,11 +125,6 @@ impl CampaignState {
         stats
     }
 
-    /// Total recorded attempts across all stages.
-    pub fn total_attempts(&self) -> usize {
-        self.stages.iter().map(Vec::len).sum()
-    }
-
     fn apply(&mut self, rec: &WalRecord) -> Result<()> {
         let corrupt = |msg: String| Err(ServeError::Corrupt(msg));
         if self.terminal.is_some() {

@@ -451,7 +451,6 @@ fn run_campaign_stages(
         // agree on when a stage is done; the failure cap bounds runaway.
         budget_fraction: 0.0,
         max_failures: spec.max_evals.saturating_mul(4).max(16),
-        ..FailurePolicy::default()
     };
 
     while campaign.advanced < n_stages {

@@ -202,11 +202,6 @@ impl ParamValue {
             ParamValue::Index(i) => *i as i64,
         }
     }
-
-    /// Integer view as usize, clamped at zero.
-    pub fn as_usize(&self) -> usize {
-        self.as_i64().max(0) as usize
-    }
 }
 
 #[cfg(test)]
@@ -340,7 +335,7 @@ mod tests {
     #[test]
     fn value_numeric_views() {
         assert_eq!(ParamValue::Real(2.6).as_i64(), 3);
-        assert_eq!(ParamValue::Int(-2).as_usize(), 0);
+        assert_eq!(ParamValue::Int(-2).as_i64(), -2);
         assert_eq!(ParamValue::Index(3).as_f64(), 3.0);
     }
 }

@@ -75,15 +75,6 @@ impl Subspace {
         &self.defaults
     }
 
-    /// Replace the defaults (e.g. after an upstream search fixed `nbatches`;
-    /// the paper tunes the batch size first, then freezes it for the GPU
-    /// kernel searches).
-    pub fn set_defaults(&mut self, defaults: Config) -> Result<()> {
-        self.space.check_valid(&defaults)?;
-        self.defaults = defaults;
-        Ok(())
-    }
-
     /// Expand an active-space unit point into a full config: active
     /// coordinates decoded, frozen ones taken from the defaults.
     pub fn lift(&self, u_active: &[f64]) -> Result<Config> {
@@ -118,7 +109,7 @@ impl Subspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Constraint, ParamValue};
+    use crate::Constraint;
 
     fn space() -> SearchSpace {
         SearchSpace::builder()
@@ -189,21 +180,6 @@ mod tests {
         // config_from_pairs doesn't run constraints; build raw then check.
         let bad = bad.unwrap();
         assert!(Subspace::new(&s, &["x"], bad).is_err());
-    }
-
-    #[test]
-    fn set_defaults_revalidates() {
-        let s = space();
-        let mut sub = Subspace::new(&s, &["x"], defaults(&s)).unwrap();
-        let mut d2 = defaults(&s);
-        d2[1] = ParamValue::Int(2048); // out of tb's domain
-        assert!(sub.set_defaults(d2).is_err());
-        let d3 = s
-            .config_from_pairs(&[("x", 1.0), ("tb", 256.0), ("tb_sm", 8.0)])
-            .unwrap();
-        sub.set_defaults(d3).unwrap();
-        let cfg = sub.lift(&[0.5]).unwrap();
-        assert_eq!(s.get_i64(&cfg, "tb").unwrap(), 256);
     }
 
     #[test]

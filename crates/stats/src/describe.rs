@@ -47,11 +47,6 @@ impl Summary {
         })
     }
 
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
-
     /// Dynamic range `max / min` (∞ when min is 0) — the paper observes
     /// runtime variability "of up to one order of magnitude" across sampled
     /// configurations, i.e. a range of ~10.
@@ -85,11 +80,6 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
 /// derives its BO evaluation budget (`10 × num_parameters`) from it.
 pub fn one_in_ten_ok(observations: usize, dims: usize) -> bool {
     observations >= 10 * dims
-}
-
-/// Evaluation budget the paper uses for each BO search: `10 × dims`.
-pub fn bo_budget(dims: usize) -> usize {
-    10 * dims
 }
 
 #[cfg(test)]
@@ -143,7 +133,6 @@ mod tests {
         assert!(one_in_ten_ok(100, 10));
         assert!(!one_in_ten_ok(99, 10));
         assert!(one_in_ten_ok(0, 0));
-        assert_eq!(bo_budget(20), 200);
     }
 
     #[test]
@@ -151,6 +140,6 @@ mod tests {
         let s = Summary::new(&[3.0]).unwrap();
         assert_eq!(s.median, 3.0);
         assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.iqr(), 0.0);
+        assert_eq!(s.q3 - s.q1, 0.0);
     }
 }

@@ -3,13 +3,9 @@
 //! The paper's insights phase runs "a feature importance analysis,
 //! leveraging Random Forest trees" over sampled (configuration, runtime)
 //! data. This module provides that tool: CART regression trees grown on
-//! bootstrap resamples with per-split feature subsampling, plus the two
-//! standard importance estimators —
-//!
-//! * **impurity importance** (mean decrease in variance, normalized), and
-//! * **OOB permutation importance** (increase in out-of-bag squared error
-//!   when one feature column is shuffled), which is robust to cardinality
-//!   bias.
+//! bootstrap resamples with per-split feature subsampling, plus
+//! **impurity importance** (mean decrease in variance, normalized) and the
+//! out-of-bag R² that says how far to trust it.
 //!
 //! Trees are trained in parallel with scoped threads (one task per tree —
 //! coarse-grained, embarrassingly parallel, the Rayon-style sweet spot).
@@ -17,7 +13,7 @@
 use crate::{Result, StatsError};
 use cets_linalg::vecops;
 use rand::rngs::StdRng;
-use rand::{Rng, RngExt, SeedableRng};
+use rand::{RngExt, SeedableRng};
 
 /// How many candidate features each split considers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -228,26 +224,6 @@ impl RandomForest {
         Some(1.0 - ss_res / ss_tot)
     }
 
-    /// OOB permutation importance: for each feature, the mean increase in
-    /// out-of-bag squared error after shuffling that feature's column.
-    /// Values near zero (or negative) mean the feature carries no signal —
-    /// the paper drops such parameters from the search.
-    pub fn permutation_importance(&self, x: &[Vec<f64>], y: &[f64], seed: u64) -> Vec<f64> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let base_err = self.oob_mse(x, y, None, &mut rng);
-        (0..self.n_features)
-            .map(|f| {
-                let mut rng_f =
-                    StdRng::seed_from_u64(seed ^ (f as u64).wrapping_mul(0x9E3779B97F4A7C15));
-                let perm_err = self.oob_mse(x, y, Some(f), &mut rng_f);
-                match (base_err, perm_err) {
-                    (Some(b), Some(p)) => p - b,
-                    _ => 0.0,
-                }
-            })
-            .collect()
-    }
-
     fn oob_predictions(&self, x: &[Vec<f64>]) -> Option<Vec<Option<f64>>> {
         let mut sums = vec![0.0; x.len()];
         let mut counts = vec![0usize; x.len()];
@@ -268,49 +244,6 @@ impl RandomForest {
                 .map(|(&s, &c)| if c > 0 { Some(s / c as f64) } else { None })
                 .collect(),
         )
-    }
-
-    fn oob_mse<R: Rng>(
-        &self,
-        x: &[Vec<f64>],
-        y: &[f64],
-        permute_feature: Option<usize>,
-        rng: &mut R,
-    ) -> Option<f64> {
-        let mut err = 0.0;
-        let mut count = 0usize;
-        for t in &self.trees {
-            if t.oob.is_empty() {
-                continue;
-            }
-            // Shuffle the feature values *within the OOB set* of this tree.
-            let shuffled: Option<Vec<f64>> = permute_feature.map(|f| {
-                let mut vals: Vec<f64> = t.oob.iter().map(|&i| x[i][f]).collect();
-                for k in (1..vals.len()).rev() {
-                    let j = rng.random_range(0..=k);
-                    vals.swap(k, j);
-                }
-                vals
-            });
-            for (pos, &i) in t.oob.iter().enumerate() {
-                let pred = match (&shuffled, permute_feature) {
-                    (Some(vals), Some(f)) => {
-                        let mut row = x[i].clone();
-                        row[f] = vals[pos];
-                        t.predict(&row)
-                    }
-                    _ => t.predict(&x[i]),
-                };
-                let e = pred - y[i];
-                err += e * e;
-                count += 1;
-            }
-        }
-        if count == 0 {
-            None
-        } else {
-            Some(err / count as f64)
-        }
     }
 }
 
@@ -522,14 +455,6 @@ mod tests {
         let imp = f.feature_importances();
         assert!(imp[0] > 0.8, "signal importance {:.3} too low", imp[0]);
         assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn permutation_importance_agrees() {
-        let (x, y) = signal_data(300);
-        let f = RandomForest::fit(&x, &y, &RandomForestConfig::default()).unwrap();
-        let pi = f.permutation_importance(&x, &y, 11);
-        assert!(pi[0] > 10.0 * pi[1].abs().max(1e-9), "{pi:?}");
     }
 
     #[test]

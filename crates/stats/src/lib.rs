@@ -13,8 +13,8 @@
 //!   paper uses to spot the `tb`/`tb_sm` coupling (~0.6) induced by the
 //!   occupancy constraint;
 //! * [`forest`] — a from-scratch **random-forest regressor** with impurity
-//!   and permutation **feature importance** (the paper's Random-Forest
-//!   feature-importance step);
+//!   **feature importance** and its out-of-bag R² (the paper's
+//!   Random-Forest feature-importance step);
 //! * [`describe`] — descriptive statistics and the **one-in-ten rule**
 //!   sample-size guideline the paper cites for regression modelling.
 //!
@@ -29,7 +29,7 @@ pub mod sensitivity;
 
 pub use describe::{one_in_ten_ok, Summary};
 pub use forest::{MaxFeatures, RandomForest, RandomForestConfig};
-pub use pearson::{partial_correlation_matrix, pearson, pearson_matrix, spearman};
+pub use pearson::{pearson, pearson_matrix};
 pub use sensitivity::{SensitivityScores, VariabilityTable};
 
 /// Errors from the statistics layer.

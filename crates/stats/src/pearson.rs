@@ -87,85 +87,6 @@ pub fn correlated_pairs(columns: &[Vec<f64>], threshold: f64) -> Result<Vec<(usi
     Ok(out)
 }
 
-/// Spearman rank correlation: Pearson on the rank-transformed samples.
-/// Robust to monotone nonlinearities and outliers — a useful cross-check
-/// when the runtime distribution is heavily skewed (the paper reports up
-/// to an order of magnitude of spread across sampled configurations).
-pub fn spearman(x: &[f64], y: &[f64]) -> Result<f64> {
-    if x.len() != y.len() {
-        return Err(StatsError::BadShape(format!(
-            "spearman: {} vs {} samples",
-            x.len(),
-            y.len()
-        )));
-    }
-    pearson(&ranks(x), &ranks(y))
-}
-
-/// Fractional ranks (average rank for ties), 1-based.
-fn ranks(xs: &[f64]) -> Vec<f64> {
-    let mut idx: Vec<usize> = (0..xs.len()).collect();
-    idx.sort_by(|&a, &b| {
-        xs[a]
-            .partial_cmp(&xs[b])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut out = vec![0.0; xs.len()];
-    let mut i = 0;
-    while i < idx.len() {
-        let mut j = i;
-        while j + 1 < idx.len() && xs[idx[j + 1]] == xs[idx[i]] {
-            j += 1;
-        }
-        // Average rank for the tie run i..=j (1-based ranks).
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &idx[i..=j] {
-            out[k] = avg;
-        }
-        i = j + 1;
-    }
-    out
-}
-
-/// Partial correlation matrix: the correlation between each pair of
-/// features *controlling for all others*, computed from the inverse of the
-/// (regularized) correlation matrix.
-///
-/// The paper notes partial correlation "requires larger samples" — the
-/// matrix inversion amplifies sampling noise, which is why the methodology
-/// relies on plain Pearson plus sensitivity analysis instead. Provided for
-/// completeness; the one-in-ten rule should be comfortably satisfied
-/// before trusting the output.
-pub fn partial_correlation_matrix(columns: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-    use cets_linalg::{Lu, Matrix};
-    let corr = pearson_matrix(columns)?;
-    let d = corr.len();
-    if d == 0 {
-        return Ok(vec![]);
-    }
-    let mut m = Matrix::from_fn(d, d, |i, j| corr[i][j]);
-    // Ridge regularization keeps near-collinear feature sets invertible.
-    m.add_diag(1e-8);
-    let inv = Lu::new(&m)
-        .map_err(|e| StatsError::Degenerate(format!("correlation matrix singular: {e}")))?
-        .inverse();
-    let mut out = vec![vec![0.0; d]; d];
-    for i in 0..d {
-        out[i][i] = 1.0;
-        for j in (i + 1)..d {
-            let denom = (inv[(i, i)] * inv[(j, j)]).sqrt();
-            let r = if denom > 0.0 {
-                -inv[(i, j)] / denom
-            } else {
-                0.0
-            };
-            out[i][j] = r;
-            out[j][i] = r;
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,75 +157,5 @@ mod tests {
     #[test]
     fn empty_matrix() {
         assert!(pearson_matrix(&[]).unwrap().is_empty());
-        assert!(partial_correlation_matrix(&[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn spearman_monotone_nonlinear() {
-        // y = x³ is perfectly rank-correlated, imperfectly Pearson.
-        let x: Vec<f64> = (1..=10).map(|i| i as f64).collect();
-        let y: Vec<f64> = x.iter().map(|v| v.powi(3)).collect();
-        let rs = spearman(&x, &y).unwrap();
-        assert!((rs - 1.0).abs() < 1e-12, "{rs}");
-        let rp = pearson(&x, &y).unwrap();
-        assert!(rp < 1.0);
-    }
-
-    #[test]
-    fn spearman_handles_ties() {
-        let x = [1.0, 2.0, 2.0, 3.0];
-        let y = [10.0, 20.0, 20.0, 30.0];
-        assert!((spearman(&x, &y).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ranks_average_ties() {
-        assert_eq!(ranks(&[3.0, 1.0, 3.0]), vec![2.5, 1.0, 2.5]);
-        assert_eq!(ranks(&[5.0]), vec![1.0]);
-    }
-
-    #[test]
-    fn partial_correlation_removes_confounder() {
-        // z drives both x and y; given z, x and y are (nearly)
-        // conditionally independent.
-        let n = 200;
-        let mut z = Vec::with_capacity(n);
-        let mut x = Vec::with_capacity(n);
-        let mut y = Vec::with_capacity(n);
-        // Deterministic pseudo-noise to keep the test reproducible.
-        let mut s = 1u64;
-        let mut next = || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        for _ in 0..n {
-            let zi = next();
-            z.push(zi);
-            x.push(zi + 0.1 * next());
-            y.push(zi + 0.1 * next());
-        }
-        let cols = vec![x.clone(), y.clone(), z];
-        let plain = pearson(&x, &y).unwrap();
-        let partial = partial_correlation_matrix(&cols).unwrap();
-        assert!(
-            plain > 0.8,
-            "confounded correlation should be strong: {plain}"
-        );
-        assert!(
-            partial[0][1].abs() < 0.3,
-            "partial correlation should shrink: {} (plain {plain})",
-            partial[0][1]
-        );
-    }
-
-    #[test]
-    fn partial_correlation_diag_is_one() {
-        let cols = vec![vec![1.0, 2.0, 3.0, 4.0, 5.5], vec![2.0, 1.0, 4.0, 3.0, 5.0]];
-        let m = partial_correlation_matrix(&cols).unwrap();
-        assert_eq!(m[0][0], 1.0);
-        assert_eq!(m[1][1], 1.0);
-        assert!((-1.0..=1.0).contains(&m[0][1]));
     }
 }

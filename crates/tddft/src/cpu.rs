@@ -129,28 +129,6 @@ impl CpuQbox {
             total: compute + comm,
         }
     }
-
-    /// The communication fraction across a sweep of `ngb` values — used by
-    /// the motivation experiment to reproduce the paper's "40-50% of the
-    /// runtime is attributed to communication primitives" observation.
-    #[allow(clippy::too_many_arguments)]
-    pub fn comm_fraction_sweep(
-        &self,
-        fft_size: usize,
-        nbands: usize,
-        nkpoints: usize,
-        nspin: usize,
-        nstb: usize,
-        ngb_values: &[usize],
-    ) -> Vec<(usize, f64)> {
-        ngb_values
-            .iter()
-            .map(|&ngb| {
-                let b = self.simulate(fft_size, nbands, nkpoints, nspin, nstb, 1, 1, ngb);
-                (ngb, b.comm_fraction())
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -175,7 +153,13 @@ mod tests {
         // communication fraction lands in the paper's 40-50% band for some
         // realistic ngb.
         let q = qbox();
-        let sweep = q.comm_fraction_sweep(3_000_000, 64, 1, 1, 4, &[4, 8, 16, 32, 64]);
+        let sweep: Vec<(usize, f64)> = [4, 8, 16, 32, 64]
+            .into_iter()
+            .map(|ngb| {
+                let b = q.simulate(3_000_000, 64, 1, 1, 4, 1, 1, ngb);
+                (ngb, b.comm_fraction())
+            })
+            .collect();
         let in_band = sweep
             .iter()
             .filter(|(_, f)| (0.35..=0.55).contains(f))

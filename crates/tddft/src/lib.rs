@@ -42,7 +42,7 @@ pub use cpu::{CpuArch, CpuBreakdown, CpuQbox};
 pub use gpu::GpuArch;
 pub use kernels::{KernelCost, KernelId, KernelParams};
 
-use cets_core::{Objective, Observation};
+use cets_core::{MethodologyConfig, Objective, Observation, VariationPolicy};
 use cets_space::{Config, Constraint, SearchSpace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -100,8 +100,6 @@ pub struct TddftSimulator {
     space: SearchSpace,
     noise_sigma: f64,
     seed: u64,
-    rt_iterations: usize,
-    scf_iterations: usize,
 }
 
 /// The five custom kernels in space order, with their routine group.
@@ -123,21 +121,7 @@ impl TddftSimulator {
             space,
             noise_sigma: 0.02,
             seed: 0,
-            rt_iterations: 1,
-            scf_iterations: 1,
         }
-    }
-
-    /// Simulate the full outer loops of the pseudo-code (`rtiterations` ×
-    /// SCF iterations) instead of the single pass the paper uses during
-    /// tuning ("to optimize computational resources during the tuning
-    /// search, a single iteration of the outer loop is executed"). Total
-    /// and Slater times scale accordingly; per-invocation group times do
-    /// not change.
-    pub fn with_outer_loops(mut self, rt_iterations: usize, scf_iterations: usize) -> Self {
-        self.rt_iterations = rt_iterations.max(1);
-        self.scf_iterations = scf_iterations.max(1);
-        self
     }
 
     /// Apply the paper's expert constraints: `nstb` restricted to divisors
@@ -192,6 +176,30 @@ impl TddftSimulator {
             }
         }
         v
+    }
+
+    /// [`TddftSimulator::owners`] as the borrowed `(param, routine)` pairs
+    /// `Methodology::analyze` and `run` take.
+    pub fn owner_pairs(owners: &[(String, String)]) -> Vec<(&str, &str)> {
+        owners
+            .iter()
+            .map(|(p, r)| (p.as_str(), r.as_str()))
+            .collect()
+    }
+
+    /// The paper's RT-TDDFT analysis settings (Sections VII–VIII): the 10 %
+    /// influence cut-off, five spread variations per parameter, the
+    /// Iterations (Slater) → MPI precedence and the shared cuZcopy group
+    /// ([`TddftSimulator::shared_params`]). Callers set `bo`,
+    /// `evals_per_dim`, `resilience` and `par`.
+    pub fn methodology_config() -> MethodologyConfig {
+        MethodologyConfig {
+            cutoff: 0.10,
+            variation_policy: VariationPolicy::Spread { count: 5 },
+            precedence: vec!["Slater".into(), "MPI".into()],
+            shared_params: Self::shared_params(),
+            ..Default::default()
+        }
     }
 
     /// The paper's shared kernel (used in several routines, must keep one
@@ -387,11 +395,9 @@ impl TddftSimulator {
         // ceil-splits above — e.g. nkpb > nkpoints leaves local_kpoints at
         // 1 while ranks grow, wasting allocation but not time; the paper's
         // balance constraints exist to avoid exactly this).
-        // Outer loops: every rt iteration runs the SCF cycle, each cycle
-        // one Slater-determinant pass + reduction.
-        let outer = (self.rt_iterations * self.scf_iterations) as f64;
-        let slater = slater * outer;
-        let comm = comm * outer;
+        // One pass of the outer loops, as the paper tunes ("to optimize
+        // computational resources during the tuning search, a single
+        // iteration of the outer loop is executed").
         let total = slater + comm;
 
         Some(SimBreakdown {
@@ -800,21 +806,6 @@ mod tests {
         assert!(s("u_vec", "G2") < 0.01);
         // MPI params do not influence per-invocation kernel times.
         assert!(s("nstb", "G1") < 0.01);
-    }
-
-    #[test]
-    fn outer_loops_scale_region_times_not_groups() {
-        let one = TddftSimulator::new(CaseStudy::case1()).with_noise(0.0);
-        let ten = TddftSimulator::new(CaseStudy::case1())
-            .with_noise(0.0)
-            .with_outer_loops(5, 2);
-        let cfg = one.default_config();
-        let a = one.simulate(&cfg);
-        let b = ten.simulate(&cfg);
-        assert!((b.slater / a.slater - 10.0).abs() < 1e-9);
-        assert!((b.total / a.total - 10.0).abs() < 1e-9);
-        assert_eq!(a.g1, b.g1);
-        assert_eq!(a.g3, b.g3);
     }
 
     #[test]

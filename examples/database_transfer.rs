@@ -7,9 +7,7 @@
 //! cargo run --release --example database_transfer
 //! ```
 
-use cets::core::{
-    BoConfig, BoSearch, Database, Methodology, MethodologyConfig, Objective, VariationPolicy,
-};
+use cets::core::{BoConfig, BoSearch, Database, Methodology, MethodologyConfig, Objective};
 use cets::space::Subspace;
 use cets::tddft::{CaseStudy, TddftSimulator};
 
@@ -19,23 +17,16 @@ fn main() {
     // --- Session 1: tune Case Study 1 and persist its database.
     let cs1 = TddftSimulator::new(CaseStudy::case1()).with_expert_constraints();
     let methodology = Methodology::new(MethodologyConfig {
-        cutoff: 0.10,
-        variation_policy: VariationPolicy::Spread { count: 5 },
-        precedence: vec!["Slater".into(), "MPI".into()],
-        shared_params: TddftSimulator::shared_params(),
         bo: BoConfig {
             seed: 17,
             ..Default::default()
         },
         evals_per_dim: 6,
         record_database: true,
-        ..Default::default()
+        ..TddftSimulator::methodology_config()
     });
     let owners = TddftSimulator::owners();
-    let pairs: Vec<(&str, &str)> = owners
-        .iter()
-        .map(|(p, r)| (p.as_str(), r.as_str()))
-        .collect();
+    let pairs = TddftSimulator::owner_pairs(&owners);
     let (_, exec) = methodology
         .run(&cs1, &pairs, &cs1.default_config())
         .expect("CS1 tuning");

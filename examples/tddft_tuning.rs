@@ -7,7 +7,7 @@
 //! cargo run --release --example tddft_tuning [1|2]
 //! ```
 
-use cets::core::{BoConfig, Methodology, MethodologyConfig, Objective, VariationPolicy};
+use cets::core::{BoConfig, Methodology, MethodologyConfig, Objective};
 use cets::tddft::{CaseStudy, TddftSimulator};
 
 fn main() {
@@ -34,24 +34,16 @@ fn main() {
     println!("untuned application time: {default_time:.3}s (simulated)\n");
 
     let methodology = Methodology::new(MethodologyConfig {
-        cutoff: 0.10, // the paper's TDDFT cut-off
-        max_dims: 10,
-        variation_policy: VariationPolicy::Spread { count: 5 },
-        precedence: vec!["Slater".into(), "MPI".into()],
-        shared_params: TddftSimulator::shared_params(),
         bo: BoConfig {
             seed: 1,
             ..Default::default()
         },
         evals_per_dim: 10,
-        ..Default::default()
+        ..TddftSimulator::methodology_config()
     });
 
     let owners = TddftSimulator::owners();
-    let pairs: Vec<(&str, &str)> = owners
-        .iter()
-        .map(|(p, r)| (p.as_str(), r.as_str()))
-        .collect();
+    let pairs = TddftSimulator::owner_pairs(&owners);
 
     let report = methodology
         .analyze(&sim, &pairs, &sim.default_config())

@@ -47,8 +47,8 @@
 //! (`--sim-kill-at`, testing only) fired.
 
 use cets::core::{
-    render_markdown, BoConfig, FaultPlan, FaultyObjective, Methodology, MethodologyConfig,
-    Objective, ResilienceConfig, SystemClock, VariationPolicy,
+    render_markdown, BoConfig, CountingObjective, FaultPlan, FaultyObjective, Methodology,
+    MethodologyConfig, Objective, ResilienceConfig, SystemClock, VariationPolicy,
 };
 use cets::synthetic::{SyntheticCase, SyntheticFunction};
 use cets::tddft::{CaseStudy, TddftSimulator};
@@ -120,9 +120,10 @@ fn usage() {
     eprintln!("  --report <path>      also write the markdown report to a file");
     eprintln!("  --db <path>          (tddft) save the evaluation database as JSON");
     eprintln!("  --resilient          also retry transient failures with backoff. Every");
-    eprintln!("                       run contains panics, screens non-finite results,");
-    eprintln!("                       isolates failed searches and reports a per-search");
-    eprintln!("                       failure ledger");
+    eprintln!("                       run, sensitivity pre-pass included, contains panics");
+    eprintln!("                       and screens non-finite results; it counts failed");
+    eprintln!("                       variations, isolates failed searches and reports a");
+    eprintln!("                       per-search failure ledger");
     eprintln!("  --inject-flaky <p>   (synthetic) deterministically inject faults (panics,");
     eprintln!("                       NaNs) into a fraction p of evaluations; implies");
     eprintln!("                       --resilient — a demo of graceful degradation");
@@ -173,7 +174,10 @@ fn run_pipeline<O: Objective>(
     let baseline = objective.default_config();
     let default_value = objective.evaluate(&baseline).total;
     eprintln!("analyzing {title} (untuned objective: {default_value:.4})...");
-    let (report, exec) = match methodology.run(objective, &pairs, &baseline) {
+    // Counts every evaluation of the run: analysis, search attempts
+    // (retries included) and the final verification.
+    let counted = CountingObjective::new(objective);
+    let (report, exec) = match methodology.run(&counted, &pairs, &baseline) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
@@ -187,7 +191,7 @@ fn run_pipeline<O: Objective>(
         default_value,
         exec.final_value,
         (1.0 - exec.final_value / default_value) * 100.0,
-        exec.total_evals
+        counted.count()
     );
     if let Some(path) = report_path {
         if let Err(e) = std::fs::write(path, &md) {
@@ -336,11 +340,14 @@ fn main() -> ExitCode {
                         faulty.injected(),
                         faulty.evaluations()
                     );
-                    out
+                    out.map(|e| (e, faulty.evaluations()))
                 }
-                None => m.execute(&exec_f, &report),
+                None => {
+                    let counted = CountingObjective::new(&exec_f);
+                    m.execute(&counted, &report).map(|e| (e, counted.count()))
+                }
             };
-            let exec = match exec {
+            let (exec, executed) = match exec {
                 Ok(e) => e,
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -354,7 +361,9 @@ fn main() -> ExitCode {
                 default_value,
                 exec.final_value,
                 (1.0 - exec.final_value / default_value) * 100.0,
-                exec.total_evals
+                // The analysis ran on the clean objective: its cost is
+                // exactly the pre-pass's observation count.
+                report.scores.observation_cost() + executed
             );
             if let Some(path) = args.get_str("report") {
                 if let Err(e) = std::fs::write(path, &md) {
@@ -382,9 +391,6 @@ fn main() -> ExitCode {
             let owners = TddftSimulator::owners();
             let m = Methodology::new(MethodologyConfig {
                 cutoff,
-                variation_policy: VariationPolicy::Spread { count: 5 },
-                precedence: vec!["Slater".into(), "MPI".into()],
-                shared_params: TddftSimulator::shared_params(),
                 bo: BoConfig {
                     seed,
                     gp: gp_cfg.clone(),
@@ -392,7 +398,7 @@ fn main() -> ExitCode {
                 },
                 evals_per_dim,
                 resilience: resilient.then(ResilienceConfig::default),
-                ..Default::default()
+                ..TddftSimulator::methodology_config()
             });
             run_pipeline(
                 &sim,

@@ -116,7 +116,6 @@ fn draw_hashes<O: Objective>(objective: &O) -> [u64; 4] {
         &RandomSearchConfig {
             n_evals: 12,
             seed: 5,
-            threads: 2,
         },
     )
     .expect("random search draws");

@@ -4,10 +4,12 @@
 
 use cets_core::framelog::fnv1a;
 use cets_core::{
-    run_strategy, BoConfig, Methodology, MethodologyConfig, Objective, Strategy, VariationPolicy,
+    render_markdown, run_strategy, BoConfig, FaultPlan, FaultyObjective, Methodology,
+    MethodologyConfig, Objective, ResilienceConfig, Strategy, VariationPolicy, VirtualClock,
 };
 use cets_linalg::ParConfig;
 use cets_synthetic::{SyntheticCase, SyntheticFunction};
+use std::sync::Arc;
 
 fn quick_bo(seed: u64) -> BoConfig {
     BoConfig {
@@ -124,6 +126,44 @@ fn final_config_hash_is_pinned_at_any_worker_count() {
             "final configuration moved at {threads} worker(s)"
         );
     }
+}
+
+/// A fault during the sensitivity pre-pass no longer aborts the run: Case 3
+/// behind a seeded flaky injector (5 % panic/NaN/stall) completes under
+/// the run's guard, and the report counts the variations that failed.
+/// Injector and guard share one virtual clock, so retry backoff and stalls
+/// cost no wall time.
+#[test]
+fn prepass_faults_are_contained_and_counted() {
+    let obj = SyntheticFunction::new(SyntheticCase::Case3);
+    let owners = SyntheticFunction::owners();
+    let pairs = SyntheticFunction::owner_pairs(&owners);
+    let clock = Arc::new(VirtualClock::new());
+    let faulty = FaultyObjective::new(&obj, FaultPlan::flaky(0.05, 7), clock.clone());
+    let m = Methodology::new(MethodologyConfig {
+        cutoff: 0.25,
+        max_dims: 5,
+        variation_policy: VariationPolicy::Spread { count: 5 },
+        bo: BoConfig {
+            seed: 42,
+            ..Default::default()
+        },
+        evals_per_dim: 2,
+        resilience: Some(ResilienceConfig {
+            clock,
+            ..Default::default()
+        }),
+        ..Default::default()
+    });
+    let (report, exec) = m.run(&faulty, &pairs, &obj.default_config()).unwrap();
+    assert!(report.failed_variations > 0, "no pre-pass failure counted");
+    assert!(exec.final_value.is_finite());
+    let md = render_markdown(&obj, "probe", &report, Some(&exec));
+    let counted = format!("{} failed)", report.failed_variations);
+    assert!(
+        md.contains(&counted),
+        "sensitivity cost line lacks {counted}"
+    );
 }
 
 /// Strategy comparison smoke test (Table III in miniature): all four

@@ -2,9 +2,7 @@
 //! — precedence routines, shared-kernel reassignment, the 10-dim cap, and
 //! a small end-to-end execution (full budgets live in `cets-bench`).
 
-use cets_core::{
-    BoConfig, Methodology, MethodologyConfig, Objective, SearchTarget, VariationPolicy,
-};
+use cets_core::{BoConfig, Methodology, MethodologyConfig, Objective, SearchTarget};
 use cets_tddft::{CaseStudy, TddftSimulator};
 
 fn quick_bo(seed: u64) -> BoConfig {
@@ -20,14 +18,9 @@ fn quick_bo(seed: u64) -> BoConfig {
 
 fn tddft_methodology(seed: u64, evals_per_dim: usize) -> Methodology {
     Methodology::new(MethodologyConfig {
-        cutoff: 0.10, // the paper's TDDFT cut-off
-        max_dims: 10,
-        variation_policy: VariationPolicy::Spread { count: 5 },
-        precedence: vec!["Slater".into(), "MPI".into()],
-        shared_params: TddftSimulator::shared_params(),
         bo: quick_bo(seed),
         evals_per_dim,
-        ..Default::default()
+        ..TddftSimulator::methodology_config()
     })
 }
 
@@ -41,10 +34,7 @@ fn tddft_plan_matches_table7_structure() {
         .with_noise(0.0)
         .with_expert_constraints();
     let owners = TddftSimulator::owners();
-    let pairs: Vec<(&str, &str)> = owners
-        .iter()
-        .map(|(p, r)| (p.as_str(), r.as_str()))
-        .collect();
+    let pairs = TddftSimulator::owner_pairs(&owners);
     let m = tddft_methodology(1, 3);
     let report = m.analyze(&sim, &pairs, &sim.default_config()).unwrap();
 
@@ -108,10 +98,7 @@ fn tddft_execution_improves_over_default() {
         .with_noise(0.0)
         .with_expert_constraints();
     let owners = TddftSimulator::owners();
-    let pairs: Vec<(&str, &str)> = owners
-        .iter()
-        .map(|(p, r)| (p.as_str(), r.as_str()))
-        .collect();
+    let pairs = TddftSimulator::owner_pairs(&owners);
     let m = tddft_methodology(5, 3);
     let (report, exec) = m.run(&sim, &pairs, &sim.default_config()).unwrap();
 
@@ -135,10 +122,7 @@ fn tddft_case2_same_plan_shape() {
         .with_noise(0.0)
         .with_expert_constraints();
     let owners = TddftSimulator::owners();
-    let pairs: Vec<(&str, &str)> = owners
-        .iter()
-        .map(|(p, r)| (p.as_str(), r.as_str()))
-        .collect();
+    let pairs = TddftSimulator::owner_pairs(&owners);
     let report = tddft_methodology(2, 3)
         .analyze(&sim, &pairs, &sim.default_config())
         .unwrap();
@@ -157,10 +141,7 @@ fn joint_tddft_strategy_fails_candidate_generation() {
     use cets_core::{run_strategy, CoreError, Strategy};
     let sim = TddftSimulator::new(CaseStudy::case2());
     let owners = TddftSimulator::owners();
-    let pairs: Vec<(&str, &str)> = owners
-        .iter()
-        .map(|(p, r)| (p.as_str(), r.as_str()))
-        .collect();
+    let pairs = TddftSimulator::owner_pairs(&owners);
     let err = run_strategy(&sim, &pairs, &Strategy::FullyJoint, &quick_bo(1), 2).unwrap_err();
     assert!(
         matches!(
@@ -177,10 +158,7 @@ fn joint_tddft_strategy_fails_candidate_generation() {
 fn dag_dot_exports() {
     let sim = TddftSimulator::new(CaseStudy::case1()).with_noise(0.0);
     let owners = TddftSimulator::owners();
-    let pairs: Vec<(&str, &str)> = owners
-        .iter()
-        .map(|(p, r)| (p.as_str(), r.as_str()))
-        .collect();
+    let pairs = TddftSimulator::owner_pairs(&owners);
     let report = tddft_methodology(3, 3)
         .analyze(&sim, &pairs, &sim.default_config())
         .unwrap();
